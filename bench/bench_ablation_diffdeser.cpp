@@ -4,8 +4,6 @@
 // the SAME code paths the server runtime drives (core::DiffDeserializer,
 // which ParsedReplica wraps under the replica lease):
 //   * FullParse    — conventional envelope parse every message;
-//   * ContentHit   — identical message through the connection-level diff
-//                    parser: one memcmp against the cache;
 //   * Replay       — the server's header-only replay path: apply_runs with
 //                    zero runs (no memcmp — the patch checksum already
 //                    proved the body unchanged);
@@ -69,19 +67,6 @@ void register_figure() {
                       Result<soap::RpcCall> call = soap::read_rpc_envelope(doc);
                       BSOAP_ASSERT(call.ok());
                       benchmark::DoNotOptimize(call.value().params.size());
-                    }
-                  });
-
-  register_series("AblationDiffDeser/ContentHit/Double",
-                  [](benchmark::State& state, std::size_t n) {
-                    const std::string doc = serialize(soap::make_double_array_call(
-                        soap::doubles_with_serialized_length(n, 18, 1)));
-                    core::DiffDeserializer deser;
-                    (void)deser.parse(doc);
-                    for (auto _ : state) {
-                      Result<const soap::RpcCall*> call = deser.parse(doc);
-                      BSOAP_ASSERT(call.ok());
-                      benchmark::DoNotOptimize(call.value());
                     }
                   });
 

@@ -19,18 +19,17 @@ it shows up as a timing change:
     first-time sends only for the initial template build plus recovery
     invalidations — anything more means rollback corrupted shadow state
     and the matcher misclassified an MCM/PSM send;
-  * "ServerThroughput/..." series (bench_server_throughput) are gated
-    across series: after warmup, differential modes must serialize from
-    scratch at most once per distinct shape (plus invalidations) — the
-    shared cache may not fall back to per-worker first-time costs — and at
-    each worker count the shared cache must retain strictly fewer template
-    bytes than the per-worker stores (at the highest worker count, at most
-    half), since one resident set per shape instead of one per worker is
-    the entire point;
-  * the "reactor" series (epoll engine, same shared-cache differential
-    setup as "shared") is held to the same steady_first_time bound as the
-    other differential modes — the event engine may not degrade match
-    classification. Its req/s is gated on the idle axis below, not here:
+  * "ServerThroughput/..." series (bench_server_throughput): after
+    warmup, the blocking-engine differential series ("perworker") must
+    serialize from scratch at most once per distinct shape — its keep-alive
+    connections pin their workers, so warm templates must never be rebuilt;
+  * the "reactor" series (epoll engine, same per-worker differential
+    setup) does not pin connections to workers, so any worker may meet a
+    shape late; it is held to the bound that is exact for per-worker
+    stores instead: first-time responses over warmup and timed phases
+    together at most workers x shapes (each worker's store builds each
+    shape once; server pipelines carry no journal, so nothing is ever
+    invalidated). Its req/s is gated on the idle axis below, not here:
     two series run seconds apart and single-core CI boxes drift too much
     for a cross-series ratio to be meaningful;
   * "ServerIdleConnections/paired/..." points run BOTH engines in
@@ -110,38 +109,26 @@ def check_server_throughput(bench, entries):
         if not c.get("diff", 0):
             continue
         shapes = c.get("shapes", 0)
+        if c.get("reactor", 0):
+            first = c.get("first_time", 0)
+            allowed = workers * shapes
+            if first > allowed:
+                errors.append(
+                    f"{bench} ServerThroughput/{mode}/workers/{workers}: "
+                    f"first_time={first:.0f} exceeds workers x shapes "
+                    f"({allowed:.0f}) — a worker rebuilt a template it "
+                    f"already held")
+            continue
         steady = c.get("steady_first_time", 0)
-        allowed = shapes + c.get("invalidated", 0)
-        if steady > allowed:
+        if steady > shapes:
             errors.append(
                 f"{bench} ServerThroughput/{mode}/workers/{workers}: "
                 f"steady-state first_time={steady:.0f} exceeds distinct "
-                f"shapes + invalidations ({allowed:.0f}) — warm templates "
-                f"are being rebuilt")
-
-    shared_workers = sorted(w for (m, w) in points if m == "shared"
-                            and ("perworker", w) in points)
-    for workers in shared_workers:
-        shared = points[("shared", workers)].get("retained_bytes", 0)
-        per = points[("perworker", workers)].get("retained_bytes", 0)
-        if workers >= 2 and shared >= per:
-            errors.append(
-                f"{bench} ServerThroughput workers={workers}: shared cache "
-                f"retains {shared:.0f} bytes, per-worker stores {per:.0f} — "
-                f"sharing saves nothing")
-    if shared_workers:
-        top = shared_workers[-1]
-        shared = points[("shared", top)].get("retained_bytes", 0)
-        per = points[("perworker", top)].get("retained_bytes", 0)
-        if top >= 4 and shared > 0.5 * per:
-            errors.append(
-                f"{bench} ServerThroughput workers={top}: shared cache "
-                f"retains {shared:.0f} bytes > 0.5x per-worker ({per:.0f})")
+                f"shapes ({shapes:.0f}) — warm templates are being rebuilt")
 
     # The reactor series' req/s is gated on the drift-immune
     # ServerIdleConnections axis (check_idle_connections), not across
-    # ServerThroughput series; its steady_first_time is covered by the
-    # differential-mode bound above.
+    # ServerThroughput series.
     return errors
 
 

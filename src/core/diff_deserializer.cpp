@@ -29,27 +29,6 @@ void DiffDeserializer::reset() {
   slots_.clear();
 }
 
-Result<const soap::RpcCall*> DiffDeserializer::parse(
-    std::string_view document) {
-  if (cache_valid_ && document == cached_doc_) {
-    ++stats_.content_hits;
-    return &cached_call_;
-  }
-  if (cache_valid_ && fast_path_usable_ &&
-      document.size() == cached_doc_.size() && skeleton_matches(document)) {
-    const Status st = reparse_changed_regions(document);
-    if (st.ok()) {
-      ++stats_.fast_parses;
-      cached_doc_.assign(document);
-      return &cached_call_;
-    }
-    // A region failed to re-parse (should not happen for well-formed input);
-    // fall through to the full parse.
-  }
-  BSOAP_RETURN_IF_ERROR(full_parse(document));
-  return &cached_call_;
-}
-
 Status DiffDeserializer::prime(std::string_view document) {
   return full_parse(document);
 }
@@ -129,33 +108,6 @@ Result<DiffDeserializer::ApplyReport> DiffDeserializer::apply_runs(
   ++stats_.fast_parses;
   stats_.regions_reparsed += touched_.size();
   return ApplyReport{ApplyPath::kFastParse, touched_.size(), false};
-}
-
-bool DiffDeserializer::skeleton_matches(std::string_view document) const {
-  // Compare every byte outside the value regions.
-  std::size_t cursor = 0;
-  for (const LeafRegion& r : regions_) {
-    if (std::memcmp(document.data() + cursor, cached_doc_.data() + cursor,
-                    r.begin - cursor) != 0) {
-      return false;
-    }
-    cursor = r.end;
-  }
-  return std::memcmp(document.data() + cursor, cached_doc_.data() + cursor,
-                     document.size() - cursor) == 0;
-}
-
-Status DiffDeserializer::reparse_changed_regions(std::string_view document) {
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    const LeafRegion& r = regions_[i];
-    const std::string_view fresh = document.substr(r.begin, r.end - r.begin);
-    const std::string_view old =
-        std::string_view(cached_doc_).substr(r.begin, r.end - r.begin);
-    if (fresh == old) continue;
-    ++stats_.regions_reparsed;
-    BSOAP_RETURN_IF_ERROR(reparse_slot(i, fresh));
-  }
-  return Status{};
 }
 
 Status DiffDeserializer::reparse_slot(std::size_t index,

@@ -5,23 +5,22 @@
 // previous message: if a new document differs from the cached one only
 // inside value regions (and each region's length is unchanged, so the
 // surrounding "skeleton" bytes line up), the server re-parses just the
-// changed lexicals instead of the whole envelope. An identical document is a
-// content hit and costs one memcmp.
+// changed lexicals instead of the whole envelope.
 //
-// Two entry points share the cache:
-//
-//   parse(document)      — trusts nothing: memcmp for a content hit, then a
-//                          full skeleton scan before the region fast path.
+//   prime(doc)            — full parse that (re)builds the cache and the
+//                           leaf-region map.
 //   apply_runs(doc, runs) — trusts the caller that every byte outside `runs`
-//                          equals the cached document (the diff-wire patch
-//                          checksum proves exactly this), so the fast path
-//                          touches only the dirty bytes: intersect the runs
-//                          with the leaf-region map, re-parse touched leaves
-//                          in place, and never walk the full message.
+//                           equals the cached document (the diff-wire patch
+//                           checksum proves exactly this), so the fast path
+//                           touches only the dirty bytes: intersect the runs
+//                           with the leaf-region map, re-parse touched leaves
+//                           in place, and never walk the full message. No
+//                           runs is a content hit with zero parse work.
 //
-// Both paths degrade gracefully: any skeleton mismatch, length change,
-// structural byte inside a run, or unsupported shape demotes to a full parse
-// (which re-primes the cache and rebuilds the region map).
+// apply_runs degrades gracefully: a length change, a changed structural byte
+// inside a run, or an unsupported shape demotes to a full parse (which
+// re-primes the cache and rebuilds the region map). The server runtime
+// drives it through core::ParsedReplica, one per pinned diff-wire replica.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,8 @@ class DiffDeserializer {
  public:
   struct Stats {
     std::uint64_t full_parses = 0;
-    std::uint64_t content_hits = 0;   ///< document identical to cached
-    std::uint64_t fast_parses = 0;    ///< skeleton matched, regions re-parsed
+    std::uint64_t content_hits = 0;   ///< no dirty runs: cached call served
+    std::uint64_t fast_parses = 0;    ///< only touched regions re-parsed
     std::uint64_t regions_reparsed = 0;
     std::uint64_t demotions = 0;  ///< cached parse present but unusable
   };
@@ -73,12 +72,7 @@ class DiffDeserializer {
     bool demoted = false;  ///< a usable cache had to be thrown away
   };
 
-  /// Parses `document`, reusing the cached parse when possible. The returned
-  /// pointer stays valid until the next parse()/prime()/apply_runs() call.
-  Result<const soap::RpcCall*> parse(std::string_view document);
-
-  /// Unconditional full parse that (re)primes the cache. Equivalent to the
-  /// slow path of parse() without the content-hit/skeleton probes.
+  /// Unconditional full parse that (re)primes the cache.
   Status prime(std::string_view document);
 
   /// Updates the cached parse for `document`, which must equal the cached
@@ -101,14 +95,6 @@ class DiffDeserializer {
 
   const Stats& stats() const { return stats_; }
 
-  /// Drains the counters: returns the totals accumulated since the last
-  /// take and zeroes them, so periodic aggregation never double-counts.
-  Stats take_stats() {
-    Stats out = stats_;
-    stats_ = Stats{};
-    return out;
-  }
-
   /// Forgets the cached message.
   void reset();
 
@@ -122,8 +108,6 @@ class DiffDeserializer {
 
   Status full_parse(std::string_view document);
   Result<ApplyReport> demote(std::string_view document);
-  bool skeleton_matches(std::string_view document) const;
-  Status reparse_changed_regions(std::string_view document);
   Status reparse_slot(std::size_t index, std::string_view fresh);
   void collect_slots();
 

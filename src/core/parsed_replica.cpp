@@ -87,9 +87,4 @@ Result<ParsedReplica::Lease> ParsedReplica::serve_patch(
   return make_lease(std::move(self), std::move(lock), contended, report);
 }
 
-DiffDeserializer::Stats ParsedReplica::take_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deser_.take_stats();
-}
-
 }  // namespace bsoap::core

@@ -94,9 +94,6 @@ class ParsedReplica final : public diffwire::ReplicaAttachment {
                                    std::span<const diffwire::PatchRun> runs,
                                    ServeReport* report);
 
-  /// Drains the wrapped deserializer's counters (per-replica scoping).
-  DiffDeserializer::Stats take_stats();
-
  private:
   static Lease make_lease(std::shared_ptr<ParsedReplica> self,
                           std::unique_lock<std::mutex> lock, bool contended,

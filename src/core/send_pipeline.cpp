@@ -90,13 +90,13 @@ MessageTemplate* SendPipeline::resolve_and_update(const soap::RpcCall& call,
     clock.lap(SendStage::kUpdate, tmpl->buffer().total_size());
   } else {
     const std::uint64_t signature = call.structure_signature();
-    lease_ = template_source().checkout(signature);
+    lease_ = store_.checkout(signature);
     clock.lap(SendStage::kResolve, 0);
     if (!lease_) {
-      lease_ = template_source().publish(build_template(call, options_.tmpl));
+      lease_ = store_.publish(build_template(call, options_.tmpl));
       tmpl = lease_.get();
       if (journal_ != nullptr) {
-        // The fresh template enters the source as if the send completed; a
+        // The fresh template enters the store as if the send completed; a
         // failed write must invalidate the lease (the peer's view is
         // unknowable).
         recovery_ctx_ = RecoveryContext::kFirstTime;
@@ -130,13 +130,13 @@ Result<SendReport> SendPipeline::send(const soap::RpcCall& call,
   if (!written.ok()) {
     // With a journal armed the lease stays out until recover_failed_send()
     // decides rollback-and-return vs invalidate; without one, return the
-    // replica now (a retrying sender without a journal gets no guarantees).
+    // template now (a retrying sender without a journal gets no guarantees).
     if (recovery_ctx_ == RecoveryContext::kNone) lease_.release();
     return written.error();
   }
   if (journal_ != nullptr && journal_->armed()) journal_->commit(*tmpl);
   recovery_ctx_ = RecoveryContext::kNone;
-  // Returning the lease folds the update's growth delta into the source's
+  // Returning the lease folds the update's growth delta into the store's
   // byte accounting and enforces its budget after the bytes are on the wire
   // (a partial structural match may have grown the template past it).
   lease_.release();
@@ -207,14 +207,14 @@ Recovery SendPipeline::recover_failed_send() {
     case RecoveryContext::kNone:
       return Recovery::kNone;
     case RecoveryContext::kFirstTime:
-      // The freshly built replica's bytes may never have reached the peer.
+      // The freshly built template's bytes may never have reached the peer.
       lease_.invalidate();
       return Recovery::kInvalidated;
     case RecoveryContext::kDiff: {
       BSOAP_ASSERT(journal_ != nullptr && journal_->armed());
       const bool untouched = journal_->empty();
       if (journal_->rollback(*tmpl)) {
-        // Restored exactly: the replica is safe to return to the source.
+        // Restored exactly: the template is safe to return to the store.
         lease_.release();
         return untouched ? Recovery::kNone : Recovery::kRolledBack;
       }

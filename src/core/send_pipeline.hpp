@@ -275,15 +275,6 @@ class SendPipeline {
   TemplateStore& store() { return store_; }
   const Options& options() const { return options_; }
 
-  /// Redirects template resolution to an external source — the server
-  /// runtime points every worker's pipeline at one process-wide
-  /// SharedTemplateCache, so workers reuse each other's response templates.
-  /// nullptr restores the pipeline-private store (the default). Must not be
-  /// called while a send is in flight or awaiting recover_failed_send().
-  void set_template_source(TemplateStoreLike* source) {
-    template_source_ = source;
-  }
-
  private:
   /// Which HTTP head the frame stage constructs.
   enum class HeadKind { kRequest, kResponse };
@@ -310,10 +301,6 @@ class SendPipeline {
     kTracked,    ///< differential update against a caller-owned template
   };
 
-  TemplateStoreLike& template_source() {
-    return template_source_ != nullptr ? *template_source_ : store_;
-  }
-
   /// Gathers the patch frame for a diff-wire patch send (dirty runs from
   /// the armed journal, or a header-only replay frame) into body_slices_,
   /// returning the frame's total byte count. With `slice_body` set, only
@@ -337,7 +324,6 @@ class SendPipeline {
 
   Options options_;
   TemplateStore store_;
-  TemplateStoreLike* template_source_ = nullptr;
   SendObserver* observer_ = nullptr;
   const http::Framer* framer_override_ = nullptr;
   UpdateJournal* journal_ = nullptr;
@@ -346,8 +332,8 @@ class SendPipeline {
   MessageTemplate* recovery_tmpl_ = nullptr;
   /// The checkout covering the current differential send. Held across the
   /// write so a failed attempt can be recovered (rollback returns the
-  /// replica, structural failure invalidates it); released when the send
-  /// completes. Declared after store_: leases must die before their source.
+  /// template, structural failure invalidates it); released when the send
+  /// completes. Declared after store_: leases must die before their store.
   TemplateLease lease_;
   /// Recycled template for non-differential (full-serialization) mode.
   std::unique_ptr<MessageTemplate> full_mode_scratch_;

@@ -1,5 +1,4 @@
-// Saved-template store and the checkout seam senders resolve templates
-// through.
+// Saved-template store and the lease senders check templates out through.
 //
 // The paper keeps one saved template per remote service per call type;
 // Section 6 (future work) suggests storing several. TemplateStore
@@ -7,36 +6,34 @@
 // bound on the total number retained (capacity 1 reproduces the paper's
 // behaviour) and an optional byte budget on the serialized bytes retained —
 // a long-running server keeping response templates for many RPC shapes
-// bounds its memory rather than its template count.
+// bounds its memory rather than its template count. Each SendPipeline owns
+// one store (a server runs one per worker), so nothing here locks.
 //
-// TemplateStoreLike is the seam above it: SendPipeline checks templates out
-// through leases rather than raw find/insert, so the same resolve stage can
-// run against a pipeline-private TemplateStore (the default, no locking) or
-// a process-wide SharedTemplateCache shared by server workers (see
-// core/shared_template_cache.hpp). A lease is the exclusive right to mutate
-// one template replica for the duration of one send; returning it reports
-// the size delta the update produced, which is what keeps byte accounting
-// O(1) instead of a per-eviction walk.
+// SendPipeline resolves through leases rather than raw find/insert: a lease
+// covers one send, and returning it reports the size delta the update
+// produced, which is what keeps byte accounting O(1) instead of a
+// per-eviction walk.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "core/message_template.hpp"
 
 namespace bsoap::core {
 
-class TemplateStoreLike;
+class TemplateStore;
 
-/// Exclusive checkout of one template replica from a TemplateStoreLike.
-/// Move-only RAII: destruction (or release()) returns the replica to its
-/// source, which re-admits it — applying the size delta the send's update
-/// stage produced — or retires it. invalidate() drops the replica instead:
-/// send recovery uses it when a failed send left the template's agreement
-/// with the peer unknowable (first-time bytes the peer may not have seen,
-/// or a structural update the journal cannot unwind).
+/// Checkout of one stored template for the duration of one send. Move-only
+/// RAII: destruction (or release()) folds the size delta the send's update
+/// stage produced into the store's byte total and enforces its budget.
+/// invalidate() drops the template instead: send recovery uses it when a
+/// failed send left the template's agreement with the peer unknowable
+/// (first-time bytes the peer may not have seen, or a structural update the
+/// journal cannot unwind).
 class TemplateLease {
  public:
   TemplateLease() = default;
@@ -50,114 +47,42 @@ class TemplateLease {
   }
   ~TemplateLease() { release(); }
 
-  MessageTemplate* get() const { return view_; }
-  MessageTemplate* operator->() const { return view_; }
-  explicit operator bool() const { return view_ != nullptr; }
+  MessageTemplate* get() const { return tmpl_; }
+  MessageTemplate* operator->() const { return tmpl_; }
+  explicit operator bool() const { return tmpl_ != nullptr; }
   std::uint64_t signature() const { return signature_; }
 
-  /// Returns the replica to the source (no-op when empty).
-  void release();
-  /// Drops the replica: it never returns to the source, and the source
-  /// forgets it (the next checkout of this signature misses).
-  void invalidate();
+  /// Returns the template to the store (no-op when empty).
+  inline void release();
+  /// Drops the template: the store forgets it, so the next checkout of this
+  /// signature misses.
+  inline void invalidate();
 
  private:
-  friend class TemplateStoreLike;
+  friend class TemplateStore;
+
+  TemplateLease(TemplateStore* store, MessageTemplate* tmpl)
+      : store_(store),
+        tmpl_(tmpl),
+        signature_(tmpl->signature),
+        checkout_bytes_(tmpl->buffer().total_size()) {}
 
   void move_from(TemplateLease& rhs) {
-    source_ = rhs.source_;
-    view_ = rhs.view_;
-    owned_ = std::move(rhs.owned_);
+    store_ = std::exchange(rhs.store_, nullptr);
+    tmpl_ = std::exchange(rhs.tmpl_, nullptr);
     signature_ = rhs.signature_;
     checkout_bytes_ = rhs.checkout_bytes_;
-    rhs.source_ = nullptr;
-    rhs.view_ = nullptr;
   }
 
-  TemplateStoreLike* source_ = nullptr;
-  MessageTemplate* view_ = nullptr;
-  /// Set when ownership travels with the lease (SharedTemplateCache hands
-  /// the replica out of the cache entirely); null when the source keeps
-  /// ownership and the lease only views (TemplateStore).
-  std::unique_ptr<MessageTemplate> owned_;
+  TemplateStore* store_ = nullptr;
+  MessageTemplate* tmpl_ = nullptr;
   std::uint64_t signature_ = 0;
+  /// The template's serialized size at checkout, so release() applies the
+  /// update's growth delta in O(1).
   std::size_t checkout_bytes_ = 0;
 };
 
-/// The seam SendPipeline resolves templates through: checkout an existing
-/// template for a signature, or publish a freshly built one. Implemented by
-/// the pipeline-private TemplateStore and by the cross-worker
-/// SharedTemplateCache.
-class TemplateStoreLike {
- public:
-  virtual ~TemplateStoreLike() = default;
-
-  /// Checks out the template for `signature`; an empty lease means the
-  /// caller must serialize first-time and publish the result.
-  virtual TemplateLease checkout(std::uint64_t signature) = 0;
-
-  /// Admits a freshly built template (keyed by its signature). The returned
-  /// lease views it, so the first-time send and any later recovery go
-  /// through the same handle as a checkout hit.
-  virtual TemplateLease publish(std::unique_ptr<MessageTemplate> tmpl) = 0;
-
- protected:
-  friend class TemplateLease;
-
-  /// Called exactly once per non-empty lease, from release
-  /// (invalidate=false) or invalidate (true). `owned` carries the replica
-  /// back when ownership traveled with the lease; null for view-only
-  /// leases. `checkout_bytes` is the replica's serialized size at checkout,
-  /// so the source can apply the update's growth delta in O(1).
-  virtual void finish(std::uint64_t signature,
-                      std::unique_ptr<MessageTemplate> owned,
-                      MessageTemplate* view, std::size_t checkout_bytes,
-                      bool invalidate) = 0;
-
-  static TemplateLease make_lease(TemplateStoreLike* source,
-                                  MessageTemplate* view,
-                                  std::unique_ptr<MessageTemplate> owned,
-                                  std::uint64_t signature,
-                                  std::size_t checkout_bytes) {
-    TemplateLease lease;
-    lease.source_ = source;
-    lease.view_ = view;
-    lease.owned_ = std::move(owned);
-    lease.signature_ = signature;
-    lease.checkout_bytes_ = checkout_bytes;
-    return lease;
-  }
-};
-
-inline void TemplateLease::release() {
-  if (source_ == nullptr) {
-    view_ = nullptr;
-    owned_.reset();
-    return;
-  }
-  TemplateStoreLike* source = source_;
-  source_ = nullptr;
-  MessageTemplate* view = view_;
-  view_ = nullptr;
-  source->finish(signature_, std::move(owned_), view, checkout_bytes_,
-                 /*invalidate=*/false);
-}
-
-inline void TemplateLease::invalidate() {
-  if (source_ == nullptr) {
-    view_ = nullptr;
-    owned_.reset();
-    return;
-  }
-  TemplateStoreLike* source = source_;
-  source_ = nullptr;
-  MessageTemplate* view = view_;
-  view_ = nullptr;
-  source->finish(signature_, std::move(owned_), view, checkout_bytes_,
-                 /*invalidate=*/true);
-}
-
-class TemplateStore final : public TemplateStoreLike {
+class TemplateStore {
  public:
   /// `max_bytes` == 0 means no byte budget (count-only LRU).
   explicit TemplateStore(std::size_t capacity = 8, std::size_t max_bytes = 0)
@@ -257,37 +182,19 @@ class TemplateStore final : public TemplateStoreLike {
     while (!lru_.empty()) remove(std::prev(lru_.end()));
   }
 
-  // --- TemplateStoreLike ---------------------------------------------------
-  // The pipeline-private backend: leases are views (ownership stays in the
-  // LRU), checkout is find, and the return path folds the update's growth
-  // delta into the cached byte total then enforces the budget.
-
-  TemplateLease checkout(std::uint64_t signature) override {
+  /// Checks out the template for `signature`; an empty lease means the
+  /// caller must serialize first-time and publish the result.
+  TemplateLease checkout(std::uint64_t signature) {
     MessageTemplate* tmpl = find(signature);
     if (tmpl == nullptr) return TemplateLease{};
-    return make_lease(this, tmpl, nullptr, signature,
-                      tmpl->buffer().total_size());
+    return TemplateLease(this, tmpl);
   }
 
-  TemplateLease publish(std::unique_ptr<MessageTemplate> tmpl) override {
-    const std::uint64_t signature = tmpl->signature;
-    MessageTemplate* stored = insert(std::move(tmpl));
-    return make_lease(this, stored, nullptr, signature,
-                      stored->buffer().total_size());
-  }
-
- protected:
-  void finish(std::uint64_t signature, std::unique_ptr<MessageTemplate> owned,
-              MessageTemplate* view, std::size_t checkout_bytes,
-              bool invalidate) override {
-    BSOAP_ASSERT(owned == nullptr);
-    if (invalidate) {
-      erase(signature);
-      return;
-    }
-    note_growth(static_cast<std::ptrdiff_t>(view->buffer().total_size()) -
-                static_cast<std::ptrdiff_t>(checkout_bytes));
-    enforce_byte_budget();
+  /// Admits a freshly built template. The returned lease views it, so the
+  /// first-time send and any later recovery go through the same handle as
+  /// a checkout hit.
+  TemplateLease publish(std::unique_ptr<MessageTemplate> tmpl) {
+    return TemplateLease(this, insert(std::move(tmpl)));
   }
 
  private:
@@ -320,5 +227,20 @@ class TemplateStore final : public TemplateStoreLike {
   std::uint64_t byte_evictions_ = 0;
   std::uint64_t invalidations_ = 0;
 };
+
+inline void TemplateLease::release() {
+  if (store_ == nullptr) return;
+  TemplateStore* store = std::exchange(store_, nullptr);
+  MessageTemplate* tmpl = std::exchange(tmpl_, nullptr);
+  store->note_growth(static_cast<std::ptrdiff_t>(tmpl->buffer().total_size()) -
+                     static_cast<std::ptrdiff_t>(checkout_bytes_));
+  store->enforce_byte_budget();
+}
+
+inline void TemplateLease::invalidate() {
+  if (store_ == nullptr) return;
+  tmpl_ = nullptr;
+  std::exchange(store_, nullptr)->erase(signature_);
+}
 
 }  // namespace bsoap::core

@@ -16,18 +16,6 @@ namespace bsoap::server {
 
 namespace {
 
-/// The default per-connection parser: a full envelope parse into storage
-/// that stays valid until the next request on the connection.
-soap::EnvelopeParser make_full_parser() {
-  return [storage = std::make_shared<soap::RpcCall>()](
-             std::string_view body) -> Result<const soap::RpcCall*> {
-    Result<soap::RpcCall> parsed = soap::read_rpc_envelope(body);
-    if (!parsed.ok()) return parsed.error();
-    *storage = std::move(parsed.value());
-    return storage.get();
-  };
-}
-
 bool coding_enabled(const std::vector<http::ContentCoding>& codings,
                     http::ContentCoding coding) {
   return std::find(codings.begin(), codings.end(), coding) != codings.end();
@@ -95,17 +83,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
   pipeline_options.max_templates = server->options_.response_templates;
   pipeline_options.max_template_bytes =
       server->options_.response_template_bytes;
-  if (server->options_.shared_cache && server->options_.diff_responses) {
-    core::SharedTemplateCache::Options cache_options;
-    cache_options.shards = server->options_.shared_cache_shards;
-    cache_options.max_replicas =
-        server->options_.shared_cache_replicas != 0
-            ? server->options_.shared_cache_replicas
-            : std::max<std::size_t>(2, server->options_.workers / 2);
-    cache_options.max_bytes = server->options_.shared_cache_bytes;
-    server->shared_cache_ =
-        std::make_unique<core::SharedTemplateCache>(cache_options);
-  }
   if (server->options_.diffwire) {
     diffwire::ReplicaStore::Options replica_options;
     replica_options.max_replicas = server->options_.diffwire_replicas;
@@ -118,9 +95,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
   for (std::size_t i = 0; i < server->options_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->pipeline = std::make_unique<core::SendPipeline>(pipeline_options);
-    if (server->shared_cache_ != nullptr) {
-      worker->pipeline->set_template_source(server->shared_cache_.get());
-    }
     server->workers_.push_back(std::move(worker));
   }
   if (reactor_mode) {
@@ -129,9 +103,6 @@ Result<std::unique_ptr<ServerRuntime>> ServerRuntime::start(
     reactor_options.timeouts.idle = server->options_.idle_timeout;
     reactor_options.timeouts.read = server->options_.read_timeout;
     reactor_options.timeouts.slice = server->options_.poll_slice;
-    reactor_options.make_parser = server->options_.make_parser
-                                      ? server->options_.make_parser
-                                      : make_full_parser;
     reactor_options.max_inflate_bytes = server->options_.max_inflate_bytes;
     reactor_options.overload_response = render_overload_response();
     Result<std::unique_ptr<Reactor>> reactor =
@@ -210,8 +181,7 @@ void ServerRuntime::reactor_worker_loop(Worker& worker) {
     // the blocking path would have written, so the engines' wire behavior
     // stays aligned.
     DirectSliceTransport direct(*job->transport);
-    const bool keep =
-        answer_request(worker, job->request, *job->parser, direct);
+    const bool keep = answer_request(worker, job->request, direct);
     Completion completion;
     completion.conn_id = job->conn_id;
     completion.keep_alive = keep;
@@ -238,9 +208,6 @@ void ServerRuntime::serve_connection(
   http::HttpConnection conn(transport);
   conn.set_max_inflate_bytes(options_.max_inflate_bytes);
 
-  soap::EnvelopeParser parser =
-      options_.make_parser ? options_.make_parser() : make_full_parser();
-
   for (;;) {
     transport.begin_idle();
     Result<http::HttpRequest> request = conn.read_request();
@@ -262,7 +229,7 @@ void ServerRuntime::serve_connection(
       break;  // kClosed: keep-alive ended cleanly
     }
 
-    if (!answer_request(worker, request.value(), parser, transport)) {
+    if (!answer_request(worker, request.value(), transport)) {
       break;  // the write failed: the connection is dead
     }
     if (draining_.load(std::memory_order_acquire)) break;
@@ -272,7 +239,6 @@ void ServerRuntime::serve_connection(
 
 bool ServerRuntime::answer_request(Worker& worker,
                                    const http::HttpRequest& request,
-                                   soap::EnvelopeParser& parser,
                                    net::Transport& transport) {
   std::string_view body = request.body;
   std::string reconstructed;  // patch sends: the replayed envelope
@@ -428,12 +394,11 @@ bool ServerRuntime::answer_request(Worker& worker,
 
   // Produce the handler's RpcCall. Diff-wire requests go through the
   // replica's cached parse (ParsedReplica) when differential
-  // deserialization is on and no custom parser is installed; everything
-  // else takes the per-connection parser. The lease must outlive the
-  // handler AND the response write — on the uncontended path the call
-  // points into the shared deserializer the lease's lock protects.
-  const bool fused = replicas_ != nullptr && options_.diff_deserialize &&
-                     !options_.make_parser;
+  // deserialization is on; everything else is a full parse into the
+  // worker's reused RpcCall. The lease must outlive the handler AND the
+  // response write — on the uncontended path the call points into the
+  // shared deserializer the lease's lock protects.
+  const bool fused = replicas_ != nullptr && options_.diff_deserialize;
   core::ParsedReplica::Lease lease;
   const auto record_deser = [this](
                                 const core::ParsedReplica::ServeReport& r) {
@@ -494,7 +459,10 @@ bool ServerRuntime::answer_request(Worker& worker,
       lease = std::move(served.value());
       return &lease.call();
     }
-    return parser(body);
+    Result<soap::RpcCall> parsed = soap::read_rpc_envelope(body);
+    if (!parsed.ok()) return parsed.error();
+    worker.call = std::move(parsed.value());
+    return &worker.call;
   }();
   if (obs != nullptr) {
     obs->on_stage(RecvStage::kParse, elapsed_ns(parse_begin), body.size());
@@ -546,14 +514,11 @@ bool ServerRuntime::answer_request(Worker& worker,
         static_cast<std::uint64_t>(sent.value().coding_ns),
         std::memory_order_relaxed);
   }
-  if (shared_cache_ == nullptr) {
-    const core::TemplateStore& store = worker.pipeline->store();
-    worker.template_bytes.store(store.bytes_retained(),
-                                std::memory_order_relaxed);
-    worker.template_evictions.store(
-        store.evictions() + store.byte_evictions(), std::memory_order_relaxed);
-  }
-  // Shared-cache gauges are read straight off the cache in stats().
+  const core::TemplateStore& store = worker.pipeline->store();
+  worker.template_bytes.store(store.bytes_retained(),
+                              std::memory_order_relaxed);
+  worker.template_evictions.store(store.evictions() + store.byte_evictions(),
+                                  std::memory_order_relaxed);
   return true;
 }
 
@@ -593,24 +558,11 @@ ServerStats ServerRuntime::stats() const {
     s.diff_pinned_replicas = r.pinned_replicas;
     s.diff_pinned_bytes = r.pinned_bytes;
   }
-  if (shared_cache_ != nullptr) {
-    const core::SharedTemplateCache::Stats c = shared_cache_->stats();
-    s.response_template_bytes = c.bytes_retained;
-    s.response_template_evictions = c.evictions;
-    s.cache_hits = c.hits;
-    s.cache_misses = c.misses;
-    s.cache_contended = c.contended;
-    s.cache_clones = c.clones;
-    s.cache_retired = c.retired;
-    s.cache_invalidations = c.invalidations;
-    s.cache_pins = c.pins;
-  } else {
-    for (const auto& worker : workers_) {
-      s.response_template_bytes +=
-          worker->template_bytes.load(std::memory_order_relaxed);
-      s.response_template_evictions +=
-          worker->template_evictions.load(std::memory_order_relaxed);
-    }
+  for (const auto& worker : workers_) {
+    s.response_template_bytes +=
+        worker->template_bytes.load(std::memory_order_relaxed);
+    s.response_template_evictions +=
+        worker->template_evictions.load(std::memory_order_relaxed);
   }
   return s;
 }

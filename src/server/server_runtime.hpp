@@ -20,6 +20,14 @@
 // so a repeated RPC's response leaves via the paper's MCM/PSM fast paths —
 // the Section 6 future work, applied on the way *out*. ServerStats exposes
 // the per-match-kind counts so tests and dashboards can see the hit rate.
+// The reactor does not pin connections to workers, so a shape costs at most
+// one first-time response per worker; response_template_bytes bounds each
+// worker's template memory.
+//
+// The receive side has one parse path too: a diff-wire patch or offer is
+// served from the pinned replica's cached parse (core::ParsedReplica, with
+// diff_deserialize on); every other request is a full envelope parse into
+// the worker's reused RpcCall.
 //
 // Lifecycle: stop() drains gracefully — accepting ends, queued-but-unserved
 // connections get 503, idle keep-alive connections end at their next poll
@@ -45,14 +53,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/send_pipeline.hpp"
-#include "core/shared_template_cache.hpp"
 #include "diffwire/replica_store.hpp"
 #include "http/content_coding.hpp"
 #include "server/accept_queue.hpp"
@@ -100,20 +106,6 @@ struct ServerRuntimeOptions {
   std::size_t response_templates = 16;       ///< per-worker LRU capacity
   std::size_t response_template_bytes = 0;   ///< per-worker byte budget (0 = off)
 
-  /// One process-wide SharedTemplateCache instead of per-worker stores:
-  /// template memory scales with distinct RPC shapes, not workers × shapes,
-  /// and a shape any worker has served is warm for all of them. Workers
-  /// check templates out under a per-signature replica bound
-  /// (clone-on-contention keeps concurrent same-shape sends off the
-  /// first-time path). False (the default) keeps the per-worker stores.
-  bool shared_cache = false;
-  std::size_t shared_cache_shards = 8;
-  /// Replica bound per signature; 0 = auto (max(2, workers/2)).
-  std::size_t shared_cache_replicas = 0;
-  /// Global byte budget across the whole cache (0 = unlimited). Replaces
-  /// response_template_bytes, which is per worker.
-  std::size_t shared_cache_bytes = 0;
-
   /// Accept the diff-wire patch protocol: pin request bodies clients offer
   /// (X-BSoap-Diff: v1), apply patch frames onto the pinned replicas, and
   /// NACK (HTTP 409) anything unusable so the client falls back to full
@@ -125,9 +117,8 @@ struct ServerRuntimeOptions {
   /// Differential deserialization: each pinned replica carries a cached
   /// parse (core::ParsedReplica), so a patch send re-parses only the
   /// leaves its dirty runs touch and a header-only replay serves the
-  /// handler with zero parse work. Requires diffwire; ignored when
-  /// make_parser installs a custom parser. Non-diff-wire requests always
-  /// take the ordinary full parse.
+  /// handler with zero parse work. Requires diffwire. Non-diff-wire
+  /// requests always take the ordinary full parse.
   bool diff_deserialize = true;
 
   /// Optional receive-side stage observer (decode / patch-apply / parse),
@@ -148,11 +139,6 @@ struct ServerRuntimeOptions {
   /// deflate or deflate-preset) may inflate to. An oversized body is
   /// answered 413 Payload Too Large with a Client fault.
   std::size_t max_inflate_bytes = 1u << 30;
-
-  /// Creates one request-envelope parser per connection; null uses the full
-  /// parser (see core::make_diff_deserializing_options for the differential
-  /// one).
-  std::function<soap::EnvelopeParser()> make_parser;
 
   ServerRuntimeOptions() {
     // Responses repeat with value changes; stuffed numeric fields keep those
@@ -185,10 +171,14 @@ class ServerRuntime {
 
  private:
   /// One worker's private serving state: the response pipeline (templates
-  /// are per-worker so the hot path takes no lock) plus a gauge the stats
-  /// thread may read while the worker serves.
+  /// are per-worker so the hot path takes no lock), the parsed request of
+  /// the full-parse path, plus gauges the stats thread may read while the
+  /// worker serves.
   struct Worker {
     std::unique_ptr<core::SendPipeline> pipeline;
+    /// Full-parse target, reused across the worker's requests; valid from
+    /// the parse through the response write.
+    soap::RpcCall call;
     std::thread thread;
     std::atomic<std::uint64_t> template_bytes{0};
     std::atomic<std::uint64_t> template_evictions{0};
@@ -209,7 +199,7 @@ class ServerRuntime {
   /// construction. Returns false when the write failed and the connection
   /// must close.
   bool answer_request(Worker& worker, const http::HttpRequest& request,
-                      soap::EnvelopeParser& parser, net::Transport& transport);
+                      net::Transport& transport);
   /// Serializes a SOAP fault and sends it with the given HTTP status.
   /// Returns false if the write failed (connection is dead).
   bool send_fault(net::Transport& transport, int status, const char* reason,
@@ -225,9 +215,6 @@ class ServerRuntime {
   std::unique_ptr<DispatchQueue> dispatch_;  ///< kReactor engine
   std::unique_ptr<Reactor> reactor_;         ///< kReactor engine
   StatsCollector stats_;
-  /// Present only in shared_cache mode. Declared before workers_: the
-  /// worker pipelines point at it, so it must outlive them.
-  std::unique_ptr<core::SharedTemplateCache> shared_cache_;
   /// Diff-wire pinned request bodies (options.diffwire). Thread-safe;
   /// shared by every worker. Declared before workers_ so it outlives them.
   std::unique_ptr<diffwire::ReplicaStore> replicas_;

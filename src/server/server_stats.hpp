@@ -49,7 +49,7 @@ struct ServerStats {
   std::uint64_t response_content_match = 0;
   std::uint64_t response_perfect_match = 0;
   std::uint64_t response_partial_match = 0;
-  std::uint64_t response_template_bytes = 0;     ///< retained across workers
+  std::uint64_t response_template_bytes = 0;     ///< summed over per-worker stores
   std::uint64_t response_template_evictions = 0; ///< count + byte evictions
 
   // Diff-wire patch protocol (request side; all zero with diffwire off or
@@ -63,8 +63,7 @@ struct ServerStats {
   std::uint64_t diff_pinned_bytes = 0;    ///< gauge: bytes those replicas hold
 
   // Differential deserialization (receive side; all zero when
-  // diff_deserialize is off, a custom parser is installed, or no client
-  // negotiated diff-wire).
+  // diff_deserialize is off or no client negotiated diff-wire).
   std::uint64_t deser_content_hits = 0;  ///< replays served with zero parsing
   std::uint64_t deser_fast_parses = 0;   ///< only touched leaves re-parsed
   std::uint64_t deser_full_parses = 0;   ///< whole-envelope parses (offers,
@@ -78,16 +77,6 @@ struct ServerStats {
   std::uint64_t compressed_sends = 0;    ///< responses sent content-coded
   std::uint64_t coding_bytes_saved = 0;  ///< raw minus coded payload bytes
   std::uint64_t coding_cpu_ns = 0;       ///< CPU spent compressing payloads
-
-  // Shared template cache (shared_cache mode; all zero with per-worker
-  // stores). See core::SharedTemplateCache::Stats for field meanings.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_contended = 0;
-  std::uint64_t cache_clones = 0;
-  std::uint64_t cache_retired = 0;
-  std::uint64_t cache_invalidations = 0;
-  std::uint64_t cache_pins = 0;
 
   std::uint64_t responses_total() const {
     return response_first_time + response_content_match +

@@ -12,16 +12,8 @@ namespace bsoap::soap {
 
 Result<std::unique_ptr<SoapHttpServer>> SoapHttpServer::start(
     RpcHandler handler) {
-  return start(std::move(handler), SoapServerOptions{});
-}
-
-Result<std::unique_ptr<SoapHttpServer>> SoapHttpServer::start(
-    RpcHandler handler, SoapServerOptions options) {
-  server::ServerRuntimeOptions runtime_options;
-  runtime_options.make_parser = std::move(options.make_parser);
   Result<std::unique_ptr<server::ServerRuntime>> runtime =
-      server::ServerRuntime::start(std::move(handler),
-                                   std::move(runtime_options));
+      server::ServerRuntime::start(std::move(handler));
   if (!runtime.ok()) return runtime.error();
   auto server = std::unique_ptr<SoapHttpServer>(new SoapHttpServer());
   server->runtime_ = std::move(runtime.value());

@@ -8,9 +8,11 @@
 //
 // SoapHttpServer is a thin facade over server::ServerRuntime — the bounded
 // worker pool with connection lifecycle management and response-side
-// differential serialization (src/server/server_runtime.hpp). Use the
-// runtime directly for tuning (worker count, timeouts, backlog) and for the
-// full ServerStats snapshot.
+// differential serialization (src/server/server_runtime.hpp). The runtime
+// has one receive path: a full envelope parse, or the pinned replica's
+// cached parse when a diff-wire client patches (differential
+// deserialization, paper Section 6). Use the runtime directly for tuning
+// (worker count, timeouts, backlog) and for the full ServerStats snapshot.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +32,10 @@ namespace bsoap::soap {
 /// the runtime's worker pool: they must be safe to call concurrently.
 using RpcHandler = std::function<Result<Value>(const RpcCall&)>;
 
-/// Per-connection envelope parser: body bytes -> parsed call. The returned
-/// pointer must stay valid until the next invocation (a connection's
-/// requests are served sequentially by one worker). The default
-/// implementation runs a full read_rpc_envelope; bsoap::core supplies a
-/// differential-deserialization variant (paper Section 6) via
-/// make_diff_deserializing_options().
-using EnvelopeParser =
-    std::function<Result<const RpcCall*>(std::string_view body)>;
-
-struct SoapServerOptions {
-  /// Creates one EnvelopeParser per connection; null uses the default full
-  /// parser.
-  std::function<EnvelopeParser()> make_parser;
-};
-
 class SoapHttpServer {
  public:
   /// Starts listening on an ephemeral loopback port.
   static Result<std::unique_ptr<SoapHttpServer>> start(RpcHandler handler);
-  static Result<std::unique_ptr<SoapHttpServer>> start(
-      RpcHandler handler, SoapServerOptions options);
 
   ~SoapHttpServer();
 

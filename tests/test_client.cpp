@@ -104,7 +104,7 @@ TEST(BsoapClient, HttpFramingHasCorrectContentLength) {
 TEST(BsoapClient, ChunkedHttpFraming) {
   auto [client_t, server_t] = net::make_inmemory_transports();
   BsoapClientConfig config;
-  config.http_chunked = true;  // deprecated shim; must still force kChunked
+  config.framing = http::Framing::kChunked;
   config.tmpl.chunk.chunk_size = 1024;  // force several chunks
   BsoapClient client(*client_t, config);
   CapturingServer server(*server_t);
@@ -226,10 +226,16 @@ TEST(BsoapClient, ByteBudgetEnforcedAfterInPlaceTemplateGrowth) {
   (void)server.next_call();
 
   // The growth delta was visible to the budget pass: the other shape was
-  // evicted, and the cached byte total agrees with the debug walk.
+  // evicted, never the template just used, and the cached byte total is
+  // exactly the grown template's size (debug builds also cross-check it
+  // against a walk).
   EXPECT_GT(client.store().byte_evictions(), 0u);
   EXPECT_EQ(client.store().size(), 1u);
   EXPECT_LE(client.store().bytes_retained(), resident);
+  const MessageTemplate* survivor = client.store().find(
+      soap::make_double_array_call(growing).structure_signature());
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(client.store().bytes_retained(), survivor->buffer().total_size());
 }
 
 TEST(TemplateStore, ClearRoutesThroughTheSingleRemovalPath) {
@@ -259,6 +265,34 @@ TEST(TemplateStore, ClearRoutesThroughTheSingleRemovalPath) {
   ASSERT_NE(again, nullptr);
   EXPECT_EQ(store.find(again->signature), again);
   EXPECT_EQ(store.bytes_retained(), again->buffer().total_size());
+}
+
+TEST(TemplateStore, InvalidateDropsExactlyTheLeasedTemplate) {
+  TemplateStore store;
+  const auto make_template = [](std::size_t n) {
+    return build_template(
+        soap::make_double_array_call(soap::random_doubles(n, n)),
+        TemplateConfig{});
+  };
+  const std::uint64_t sig_a = make_template(20)->signature;
+  store.publish(make_template(20)).release();
+  TemplateLease b = store.publish(make_template(21));
+  const std::uint64_t sig_b = b.signature();
+  const std::size_t b_bytes = b->buffer().total_size();
+  b.release();
+  ASSERT_EQ(store.size(), 2u);
+
+  TemplateLease poisoned = store.checkout(sig_a);
+  ASSERT_TRUE(poisoned);
+  poisoned.invalidate();
+  EXPECT_FALSE(poisoned);
+
+  // The other shape survives; the next checkout of the dropped one misses.
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.invalidations(), 1u);
+  EXPECT_FALSE(store.checkout(sig_a));
+  EXPECT_TRUE(store.checkout(sig_b));
+  EXPECT_EQ(store.bytes_retained(), b_bytes);
 }
 
 TEST(BsoapClient, ByteBudgetKeepsMostRecentTemplateEvenWhenOversized) {

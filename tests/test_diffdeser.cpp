@@ -1,6 +1,6 @@
 // Tests for differential deserialization (Section 6 extension): content
-// hits, fast region re-parses, graceful fallback to full parsing, and the
-// run-guided apply_runs path the server's ParsedReplica drives.
+// hits, fast region re-parses and graceful fallback to full parsing, all
+// through the run-guided apply_runs path the server's ParsedReplica drives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +10,8 @@
 #include <span>
 
 #include "buffer/sinks.hpp"
-#include "core/client.hpp"
 #include "core/diff_deserializer.hpp"
-#include "core/diff_server.hpp"
-#include "net/tcp.hpp"
 #include "soap/envelope_reader.hpp"
-#include "soap/soap_server.hpp"
 #include "soap/envelope_writer.hpp"
 #include "soap/workload.hpp"
 
@@ -69,89 +65,107 @@ TEST(DiffDeserializer, ContentHitOnIdenticalDocument) {
   DiffDeserializer deser;
   const std::string doc =
       serialize(soap::make_double_array_call(soap::random_doubles(50, 1)));
-  ASSERT_TRUE(deser.parse(doc).ok());
+  ASSERT_TRUE(deser.prime(doc).ok());
   EXPECT_EQ(deser.stats().full_parses, 1u);
 
-  Result<const RpcCall*> again = deser.parse(doc);
+  Result<DiffDeserializer::ApplyReport> again =
+      deser.apply_runs(doc, byte_diff_runs(doc, doc, 0));
   ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().path, DiffDeserializer::ApplyPath::kContentHit);
   EXPECT_EQ(deser.stats().content_hits, 1u);
   EXPECT_EQ(deser.stats().full_parses, 1u);
-  EXPECT_EQ(again.value()->params[0].value.doubles().size(), 50u);
+  EXPECT_EQ(deser.call().params[0].value.doubles().size(), 50u);
 }
 
 TEST(DiffDeserializer, FastParseWhenRegionLengthsUnchanged) {
   DiffDeserializer deser;
   auto values = soap::doubles_with_serialized_length(60, 18, 2);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_double_array_call(values))).ok());
+  const std::string doc = serialize(soap::make_double_array_call(values));
+  ASSERT_TRUE(deser.prime(doc).ok());
 
   // Change several values to others of the SAME serialized length: skeleton
   // bytes line up, so only the changed regions are re-parsed.
   auto replacement = soap::doubles_with_serialized_length(5, 18, 3);
   for (int i = 0; i < 5; ++i) values[static_cast<std::size_t>(i * 11)] = replacement[static_cast<std::size_t>(i)];
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_double_array_call(values)));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(soap::make_double_array_call(values));
+  Result<DiffDeserializer::ApplyReport> report =
+      deser.apply_runs(fresh, byte_diff_runs(doc, fresh, 0));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
+  EXPECT_EQ(report.value().leaves_reparsed, 5u);
   EXPECT_EQ(deser.stats().fast_parses, 1u);
   EXPECT_EQ(deser.stats().full_parses, 1u);
   EXPECT_EQ(deser.stats().regions_reparsed, 5u);
-  EXPECT_EQ(parsed.value()->params[0].value.doubles(), values);
+  EXPECT_EQ(deser.call().params[0].value.doubles(), values);
 }
 
 TEST(DiffDeserializer, FallbackWhenLengthChanges) {
   DiffDeserializer deser;
   auto values = soap::doubles_with_serialized_length(30, 18, 4);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_double_array_call(values))).ok());
+  ASSERT_TRUE(deser.prime(serialize(soap::make_double_array_call(values))).ok());
 
   values[3] = 1.0;  // 1 char: document shrinks
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_double_array_call(values)));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(soap::make_double_array_call(values));
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().demoted);
   EXPECT_EQ(deser.stats().full_parses, 2u);
   EXPECT_EQ(deser.stats().fast_parses, 0u);
-  EXPECT_EQ(parsed.value()->params[0].value.doubles(), values);
+  EXPECT_EQ(deser.call().params[0].value.doubles(), values);
 }
 
 TEST(DiffDeserializer, FallbackWhenStructureChanges) {
   DiffDeserializer deser;
   ASSERT_TRUE(deser
-                  .parse(serialize(soap::make_double_array_call(
+                  .prime(serialize(soap::make_double_array_call(
                       soap::doubles_with_serialized_length(10, 18, 5))))
                   .ok());
   // Same byte length achieved with a different method name would still be a
   // skeleton mismatch; simpler: different array size.
-  Result<const RpcCall*> parsed = deser.parse(serialize(
-      soap::make_double_array_call(soap::doubles_with_serialized_length(11, 18, 6))));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(
+      soap::make_double_array_call(soap::doubles_with_serialized_length(11, 18, 6)));
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(fresh, {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
   EXPECT_EQ(deser.stats().full_parses, 2u);
+  expect_matches_oracle(deser, fresh);
 }
 
 TEST(DiffDeserializer, MioRegions) {
   DiffDeserializer deser;
   auto mios = soap::mios_with_serialized_length(40, 36, 7);
-  ASSERT_TRUE(deser.parse(serialize(soap::make_mio_array_call(mios))).ok());
+  const std::string doc = serialize(soap::make_mio_array_call(mios));
+  ASSERT_TRUE(deser.prime(doc).ok());
 
   // Replace one MIO's double with another of the same width.
   const auto replacement = soap::mios_with_serialized_length(1, 36, 8)[0];
   mios[9].value = replacement.value;
-  Result<const RpcCall*> parsed =
-      deser.parse(serialize(soap::make_mio_array_call(mios)));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(soap::make_mio_array_call(mios));
+  Result<DiffDeserializer::ApplyReport> report =
+      deser.apply_runs(fresh, byte_diff_runs(doc, fresh, 0));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFastParse);
   EXPECT_EQ(deser.stats().fast_parses, 1u);
-  EXPECT_EQ(parsed.value()->params[0].value.mios(), mios);
+  EXPECT_EQ(deser.call().params[0].value.mios(), mios);
 }
 
 TEST(DiffDeserializer, MalformedDocumentFails) {
   DiffDeserializer deser;
-  EXPECT_FALSE(deser.parse("<not-soap/>").ok());
+  EXPECT_FALSE(deser.prime("<not-soap/>").ok());
+  EXPECT_FALSE(deser.primed());
 }
 
 TEST(DiffDeserializer, ResetForgetsCache) {
   DiffDeserializer deser;
   const std::string doc =
       serialize(soap::make_double_array_call(soap::random_doubles(10, 9)));
-  ASSERT_TRUE(deser.parse(doc).ok());
+  ASSERT_TRUE(deser.prime(doc).ok());
   deser.reset();
-  ASSERT_TRUE(deser.parse(doc).ok());
+  // Unprimed again: even an empty run list cannot be a content hit.
+  Result<DiffDeserializer::ApplyReport> report = deser.apply_runs(doc, {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().path, DiffDeserializer::ApplyPath::kFullParse);
+  EXPECT_FALSE(report.value().demoted);
   EXPECT_EQ(deser.stats().full_parses, 2u);
   EXPECT_EQ(deser.stats().content_hits, 0u);
 }
@@ -162,13 +176,18 @@ TEST(DiffDeserializer, ScalarParamsDisableFastPathSafely) {
   call.method = "m";
   call.service_namespace = "urn:s";
   call.params.push_back(soap::Param{"x", soap::Value::from_int(12345)});
-  ASSERT_TRUE(deser.parse(serialize(call)).ok());
+  const std::string doc = serialize(call);
+  ASSERT_TRUE(deser.prime(doc).ok());
+  EXPECT_FALSE(deser.fast_path_usable());
   call.params[0].value = soap::Value::from_int(54321);  // same width
-  Result<const RpcCall*> parsed = deser.parse(serialize(call));
-  ASSERT_TRUE(parsed.ok());
+  const std::string fresh = serialize(call);
+  Result<DiffDeserializer::ApplyReport> report =
+      deser.apply_runs(fresh, byte_diff_runs(doc, fresh, 0));
+  ASSERT_TRUE(report.ok());
   // Scalar leaves are not slot-addressable: full parse, but still correct.
+  EXPECT_TRUE(report.value().demoted);
   EXPECT_EQ(deser.stats().full_parses, 2u);
-  EXPECT_EQ(parsed.value()->params[0].value.as_int(), 54321);
+  EXPECT_EQ(deser.call().params[0].value.as_int(), 54321);
 }
 
 TEST(DiffDeserializerApplyRuns, EmptyRunsAreAContentHit) {
@@ -396,62 +415,6 @@ TEST(DiffDeserializerApplyRuns, RandomizedDirtyRunSweepsMatchOracle) {
     EXPECT_EQ(deser.stats().demotions, 0u);
     EXPECT_EQ(deser.stats().full_parses, 1u);
   }
-}
-
-TEST(DiffDeserializer, TakeStatsDrainsCounters) {
-  DiffDeserializer deser;
-  const std::string doc = serialize(
-      soap::make_double_array_call(soap::doubles_with_serialized_length(5, 18, 52)));
-  ASSERT_TRUE(deser.parse(doc).ok());
-  ASSERT_TRUE(deser.parse(doc).ok());  // content hit
-
-  const DiffDeserializer::Stats drained = deser.take_stats();
-  EXPECT_EQ(drained.full_parses, 1u);
-  EXPECT_EQ(drained.content_hits, 1u);
-  EXPECT_EQ(deser.stats().full_parses, 0u);
-  EXPECT_EQ(deser.stats().content_hits, 0u);
-
-  ASSERT_TRUE(deser.parse(doc).ok());
-  EXPECT_EQ(deser.take_stats().content_hits, 1u);  // only the new delta
-}
-
-TEST(DiffServerIntegration, ContentHitsAcrossRequests) {
-  auto collector = std::make_shared<DiffDeserCollector>();
-  auto server = soap::SoapHttpServer::start(
-      [](const RpcCall& call) -> Result<soap::Value> {
-        return soap::Value::from_int(
-            static_cast<std::int32_t>(call.params[0].value.doubles().size()));
-      },
-      make_diff_deserializing_options(collector));
-  ASSERT_TRUE(server.ok());
-
-  Result<std::unique_ptr<net::Transport>> transport =
-      net::tcp_connect(server.value()->port());
-  ASSERT_TRUE(transport.ok());
-  BsoapClient client(*transport.value());
-
-  // Identical calls: first a full parse, then server-side content hits
-  // (the client resends stored bytes, the server memcmps its cache).
-  const RpcCall call = soap::make_double_array_call(
-      soap::doubles_with_serialized_length(30, 18, 10));
-  for (int i = 0; i < 4; ++i) {
-    Result<soap::Value> result = client.invoke(call);
-    ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().as_int(), 30);
-  }
-  EXPECT_EQ(collector->full_parses(), 1u);
-  EXPECT_EQ(collector->content_hits(), 3u);
-
-  // Same-width value change: client rewrites one field in place, server
-  // re-parses only the changed region.
-  RpcCall changed = call;
-  changed.params[0].value.doubles()[4] =
-      soap::doubles_with_serialized_length(1, 18, 11)[0];
-  Result<soap::Value> result = client.invoke(changed);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(collector->fast_parses(), 1u);
-
-  server.value()->stop();
 }
 
 }  // namespace

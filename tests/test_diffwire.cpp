@@ -3,7 +3,7 @@
 // patch sends (parsed back through http::RequestParser at every byte
 // boundary), end-to-end client/server negotiation on both connection
 // engines, NACK -> full-send -> re-pin recovery, fault injection with zero
-// failed requests, and an 8-worker shared-cache stress (TSan-covered).
+// failed requests, and an 8-worker stress (TSan-covered).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -557,10 +557,9 @@ TEST(DiffWireEndToEnd, InjectedWriteFaultsNeverFailARequest) {
   server.value()->stop();
 }
 
-TEST(DiffWireEndToEnd, EightWorkerSharedCacheStress) {
+TEST(DiffWireEndToEnd, EightWorkerStress) {
   server::ServerRuntimeOptions options;
   options.workers = 8;
-  options.shared_cache = true;
   Result<std::unique_ptr<server::ServerRuntime>> server =
       server::ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());

@@ -106,17 +106,17 @@ TEST(ServerRuntime, ResponsesTakeDifferentialFastPaths) {
   server.value()->stop();
 }
 
-TEST(ServerRuntime, SharedCacheServesOneShapeAcrossWorkersFirstTimeOnce) {
+TEST(ServerRuntime, PerWorkerStoresServeOneShapeFirstTimeAtMostOncePerWorker) {
   ServerRuntimeOptions options;
   options.workers = 4;
-  options.shared_cache = true;
   Result<std::unique_ptr<ServerRuntime>> server =
       ServerRuntime::start(sum_handler, options);
   ASSERT_TRUE(server.ok());
 
   // Sequential connections land on different workers (slots rotate through
-  // the pool); with per-worker stores each would pay its own first-time
-  // response. One shared cache means the shape is serialized exactly once.
+  // the pool). Each worker keeps its own response templates, so a shape
+  // costs at most one first-time response per worker; every other
+  // response reuses a template.
   const RpcCall call = make_sum_call({1.0, 2.0, 4.0});
   for (int conn = 0; conn < 8; ++conn) {
     Result<std::unique_ptr<net::Transport>> transport =
@@ -130,10 +130,9 @@ TEST(ServerRuntime, SharedCacheServesOneShapeAcrossWorkersFirstTimeOnce) {
   ASSERT_TRUE(wait_for(
       [&] { return server.value()->stats().responses_total() == 8; }));
   ServerStats stats = server.value()->stats();
-  EXPECT_EQ(stats.response_first_time, 1u);
-  EXPECT_EQ(stats.response_diff_hits(), 7u);
-  EXPECT_EQ(stats.cache_hits, 7u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_GE(stats.response_first_time, 1u);
+  EXPECT_LE(stats.response_first_time, 4u);
+  EXPECT_EQ(stats.response_diff_hits(), 8u - stats.response_first_time);
   EXPECT_GT(stats.response_template_bytes, 0u);
   server.value()->stop();
 }
