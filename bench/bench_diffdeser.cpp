@@ -25,7 +25,10 @@
 // stage must be >= 5x faster than full parse (both engines), clean
 // fast-parse series must report zero demotions, the replay series must
 // serve from the cache alone (content hits, no fast/extra full parses),
-// and every DiffDeser entry must report failed == 0.
+// every DiffDeser entry must report failed == 0, and the patch-apply stage
+// (patch_apply_ns_per_req: frame decode, run copy, block-digest check)
+// must stay O(dirty): <= 0.02x fullparse/1's parse_ns_per_req for
+// fastparse/1 and <= 0.005x it for replay/0.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>

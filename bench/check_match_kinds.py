@@ -49,7 +49,13 @@ it shows up as a timing change:
     <= 1% dirty the fused fast-parse receive stage must be >= 5x faster
     than the always-full-parse baseline (both engines), clean fast-parse
     series must see zero demotions, the replay series must be pure content
-    hits, and every DiffDeser entry must report failed == 0;
+    hits, and every DiffDeser entry must report failed == 0. The
+    patch-apply stage (frame decode, run copy and the block-digest
+    integrity check) must stay O(dirty), measured against the full parse
+    of the same run so the gate holds on any host: DiffDeser/fastparse/1's
+    patch_apply_ns_per_req <= 0.02x DiffDeser/fullparse/1's
+    parse_ns_per_req, and DiffDeser/replay/0's <= 0.005x it (a replay
+    re-hashes nothing);
   * "WireCompress/..." series (bench_compress) are gated across series at
     every dirty rate: the preset full re-offer series must measure <= 0.5x
     the identity full series' on-wire bytes per request (the >= 2x
@@ -200,7 +206,11 @@ def check_diffdeser(bench, entries):
       rewrites never touch structural bytes, so any demotion means the
       region map or the run intersection broke);
     * the replay series must serve from the cache alone: content hits > 0,
-      zero fast parses, and exactly the warmup's one full parse.
+      zero fast parses, and exactly the warmup's one full parse;
+    * patch apply must cost O(dirty bytes), not O(body): at 1 per mille
+      dirty, the fast-parse series' patch_apply_ns_per_req must be <= 0.02x
+      the full-parse series' parse_ns_per_req, and the replay series'
+      <= 0.005x it.
     """
     points = {}  # (mode, permille) -> counters
     errors = []
@@ -235,6 +245,21 @@ def check_diffdeser(bench, entries):
                     f"{bench} DiffDeser at {permille} per-mille dirty "
                     f"({fast_mode}): fast parse {fast:.0f} ns/req is not "
                     f">= 5x faster than full parse ({full:.0f} ns/req)")
+
+    full_parse = points.get(("fullparse", 1), {}).get("parse_ns_per_req", 0)
+    for mode, permille, bound in (("fastparse", 1, 0.02), ("replay", 0, 0.005)):
+        if full_parse <= 0 or (mode, permille) not in points:
+            continue
+        apply_ns = points[(mode, permille)].get("patch_apply_ns_per_req")
+        if apply_ns is None:
+            errors.append(f"{bench} DiffDeser/{mode}/{permille}: no "
+                          f"patch_apply_ns_per_req counter")
+        elif apply_ns > bound * full_parse:
+            errors.append(
+                f"{bench} DiffDeser/{mode}/{permille}: patch apply "
+                f"{apply_ns:.0f} ns/req > {bound}x the full parse "
+                f"({full_parse:.0f} ns/req) — the integrity check or run "
+                f"copy grew with the body")
 
     for (mode, permille), c in points.items():
         if mode != "replay":

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace bsoap::compress {
@@ -34,41 +35,36 @@ constexpr int kMaxMatch = 258;
 
 class BitWriter {
  public:
-  /// Appends `count` bits of `value`, least significant first.
+  /// Appends to `out`.
+  explicit BitWriter(std::string& out) : out_(out) {}
+
+  /// Appends the low `count` (≤ 32) bits of `value`, least significant
+  /// first, flushing whole 32-bit words as they fill.
   void put(std::uint32_t value, int count) {
     bits_ |= static_cast<std::uint64_t>(value) << nbits_;
     nbits_ += count;
-    while (nbits_ >= 8) {
+    if (nbits_ >= 32) {
+      char word[4];
+      for (int i = 0; i < 4; ++i) {
+        word[i] = static_cast<char>((bits_ >> (8 * i)) & 0xFF);
+      }
+      out_.append(word, 4);
+      bits_ >>= 32;
+      nbits_ -= 32;
+    }
+  }
+
+  /// Flushes the pending bits, zero-padding the last byte.
+  void finish() {
+    while (nbits_ > 0) {
       out_ += static_cast<char>(bits_ & 0xFF);
       bits_ >>= 8;
-      nbits_ -= 8;
+      nbits_ = nbits_ > 8 ? nbits_ - 8 : 0;
     }
-  }
-
-  /// Huffman codes are packed starting from their most significant bit.
-  void put_huffman(std::uint32_t code, int length) {
-    std::uint32_t reversed = 0;
-    for (int i = 0; i < length; ++i) {
-      reversed = (reversed << 1) | ((code >> i) & 1);
-    }
-    put(reversed, length);
-  }
-
-  void align_to_byte() {
-    if (nbits_ > 0) {
-      out_ += static_cast<char>(bits_ & 0xFF);
-      bits_ = 0;
-      nbits_ = 0;
-    }
-  }
-
-  std::string take() {
-    align_to_byte();
-    return std::move(out_);
   }
 
  private:
-  std::string out_;
+  std::string& out_;
   std::uint64_t bits_ = 0;
   int nbits_ = 0;
 };
@@ -77,21 +73,37 @@ class BitReader {
  public:
   explicit BitReader(std::string_view data) : data_(data) {}
 
-  /// Reads `count` bits, least significant first; fails at end of input.
-  Result<std::uint32_t> take(int count) {
-    while (nbits_ < count) {
-      if (pos_ >= data_.size()) {
-        return Error{ErrorCode::kParseError, "deflate: out of input bits"};
-      }
+  /// Buffers whole input bytes until at least `count` (≤ 56) bits are held
+  /// or the input ends; returns the number of bits held.
+  int fill(int count) {
+    while (nbits_ < count && pos_ < data_.size()) {
       bits_ |= static_cast<std::uint64_t>(
                    static_cast<unsigned char>(data_[pos_++]))
                << nbits_;
       nbits_ += 8;
     }
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(bits_ & ((1ull << count) - 1));
+    return nbits_;
+  }
+
+  /// The next `count` buffered bits, least significant first; bits past
+  /// the end of input read as zero.
+  std::uint32_t peek(int count) const {
+    return static_cast<std::uint32_t>(bits_ & ((1ull << count) - 1));
+  }
+
+  /// Consumes `count` bits (≤ the number held).
+  void drop(int count) {
     bits_ >>= count;
     nbits_ -= count;
+  }
+
+  /// Reads `count` bits, least significant first; fails at end of input.
+  Result<std::uint32_t> take(int count) {
+    if (fill(count) < count) {
+      return Error{ErrorCode::kParseError, "deflate: out of input bits"};
+    }
+    const std::uint32_t value = peek(count);
+    drop(count);
     return value;
   }
 
@@ -143,39 +155,79 @@ FixedCode fixed_literal_code(int symbol) {
   return {static_cast<std::uint32_t>(0xC0 + symbol - 280), 8};
 }
 
-/// Length value (3..258) -> (symbol, extra bits, extra value).
-void encode_length(BitWriter* out, int length) {
-  int code = 28;
-  for (int i = 0; i < 28; ++i) {
-    if (length < kLengthBase[i + 1]) {
-      code = i;
-      break;
-    }
-  }
-  if (length == 258) code = 28;
-  const FixedCode fc = fixed_literal_code(257 + code);
-  out->put_huffman(fc.code, fc.length);
-  if (kLengthExtra[code] > 0) {
-    out->put(static_cast<std::uint32_t>(length - kLengthBase[code]),
-             kLengthExtra[code]);
-  }
+/// A fixed-Huffman code ready for BitWriter::put: Huffman codes are packed
+/// from their most significant bit, so `bits` holds the code bit-reversed,
+/// followed by any extra bits.
+struct PackedCode {
+  std::uint32_t bits = 0;
+  int count = 0;
+};
+
+PackedCode reversed(std::uint32_t code, int length) {
+  std::uint32_t bits = 0;
+  for (int i = 0; i < length; ++i) bits = (bits << 1) | ((code >> i) & 1);
+  return {bits, length};
 }
 
-/// Distance value (1..32768) -> 5-bit fixed code + extra bits.
-void encode_distance(BitWriter* out, int distance) {
-  int code = 29;
-  for (int i = 0; i < 29; ++i) {
-    if (distance < kDistBase[i + 1]) {
-      code = i;
-      break;
+/// Literal/length symbol 0..287 -> its packed fixed code.
+const std::array<PackedCode, 288>& literal_codes() {
+  static const std::array<PackedCode, 288> table = [] {
+    std::array<PackedCode, 288> t{};
+    for (int s = 0; s < 288; ++s) {
+      const FixedCode fc = fixed_literal_code(s);
+      t[static_cast<std::size_t>(s)] = reversed(fc.code, fc.length);
     }
-  }
-  if (distance >= kDistBase[29]) code = 29;
-  out->put_huffman(static_cast<std::uint32_t>(code), 5);
-  if (kDistExtra[code] > 0) {
-    out->put(static_cast<std::uint32_t>(distance - kDistBase[code]),
-             kDistExtra[code]);
-  }
+    return t;
+  }();
+  return table;
+}
+
+/// Match length 3..258 -> length symbol code plus extra bits, packed.
+const std::array<PackedCode, kMaxMatch + 1>& length_codes() {
+  static const std::array<PackedCode, kMaxMatch + 1> table = [] {
+    std::array<PackedCode, kMaxMatch + 1> t{};
+    for (int length = kMinMatch; length <= kMaxMatch; ++length) {
+      int code = 28;
+      for (int i = 0; i < 28; ++i) {
+        if (length < kLengthBase[i + 1]) {
+          code = i;
+          break;
+        }
+      }
+      if (length == kMaxMatch) code = 28;
+      PackedCode pc = literal_codes()[static_cast<std::size_t>(257 + code)];
+      pc.bits |= static_cast<std::uint32_t>(length - kLengthBase[code])
+                 << pc.count;
+      pc.count += kLengthExtra[code];
+      t[static_cast<std::size_t>(length)] = pc;
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// Distance 1..32768 -> its distance code 0..29.
+int distance_code(int distance) {
+  const auto x = static_cast<unsigned>(distance - 1);
+  if (x < 4) return static_cast<int>(x);
+  const int b = std::bit_width(x) - 1;  // floor(log2 x), ≥ 2
+  return 2 * b + static_cast<int>((x >> (b - 1)) & 1);
+}
+
+void encode_match(BitWriter* out, int length, int distance) {
+  const PackedCode& lc = length_codes()[static_cast<std::size_t>(length)];
+  out->put(lc.bits, lc.count);
+  // Distance codes are a flat 5 bits in the fixed code.
+  const int code = distance_code(distance);
+  const PackedCode dc = reversed(static_cast<std::uint32_t>(code), 5);
+  out->put(dc.bits | (static_cast<std::uint32_t>(distance - kDistBase[code])
+                      << 5),
+           5 + kDistExtra[code]);
+}
+
+void encode_literal(BitWriter* out, int symbol) {
+  const PackedCode& pc = literal_codes()[static_cast<std::size_t>(symbol)];
+  out->put(pc.bits, pc.count);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,54 +236,116 @@ void encode_distance(BitWriter* out, int distance) {
 
 constexpr int kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
-constexpr int kMaxChainLength = 128;
 
-std::uint32_t hash3(const unsigned char* p) {
-  // Multiplicative hash over the next three bytes.
-  const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                          (static_cast<std::uint32_t>(p[1]) << 8) |
-                          (static_cast<std::uint32_t>(p[2]) << 16);
+/// Match-finder tuning, chosen by whether the stream has a preset
+/// dictionary. Plain streams (mostly small SOAP responses) hash kMinMatch
+/// = 3 bytes per chain position and walk up to 128 candidates: their
+/// repeats are short and near, and a 490-byte `putResponse` envelope codes
+/// to 254 zlib bytes this way against 264 with the preset tuning. Preset
+/// streams match SOAP text against a 32 KiB dictionary of the same text,
+/// where 3-byte chains (digits, tags) are many times longer to walk and a
+/// 3-byte match at a long distance costs about as many fixed-Huffman bits
+/// as three literals; they hash 4 bytes and walk up to 32 candidates, which
+/// codes a 313 KB re-offer 0.6% smaller in 5.5 ms instead of 13.3 ms, and a
+/// 1%-dirty patch frame in 27 µs instead of 66 µs (x86-64, gcc -O2).
+struct MatchTuning {
+  std::size_t hash_bytes;
+  int max_chain;
+};
+constexpr MatchTuning kPlainTuning{3, 128};
+constexpr MatchTuning kPresetTuning{4, 32};
+
+/// Multiplicative hash over the next HashBytes (3 or 4) bytes.
+template <std::size_t HashBytes>
+std::uint32_t hash_at(const unsigned char* p) {
+  static_assert(HashBytes == 3 || HashBytes == 4);
+  std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                    (static_cast<std::uint32_t>(p[1]) << 8) |
+                    (static_cast<std::uint32_t>(p[2]) << 16);
+  if constexpr (HashBytes == 4) v |= static_cast<std::uint32_t>(p[3]) << 24;
   return (v * 0x9E3779B1u) >> (32 - kHashBits);
+}
+
+/// Little-endian 8-byte load (match lengths count matching bytes in
+/// address order on any host).
+std::uint64_t load_le64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Length of the common prefix of `a` and `b`, at most `max_length`; both
+/// must be readable for `max_length` bytes.
+std::size_t match_length(const unsigned char* a, const unsigned char* b,
+                         std::size_t max_length) {
+  std::size_t length = 0;
+  for (; length + 8 <= max_length; length += 8) {
+    const std::uint64_t diff = load_le64(a + length) ^ load_le64(b + length);
+    if (diff != 0) {
+      return length + static_cast<std::size_t>(std::countr_zero(diff) / 8);
+    }
+  }
+  while (length < max_length && a[length] == b[length]) ++length;
+  return length;
+}
+
+/// Inserts position `k` into the hash chains.
+template <std::size_t HashBytes>
+void insert_position(const unsigned char* data, std::size_t k,
+                     std::vector<std::int32_t>& head,
+                     std::vector<std::int32_t>& prev) {
+  const std::uint32_t h = hash_at<HashBytes>(data + k);
+  prev[k] = head[h];
+  head[h] = static_cast<std::int32_t>(k);
 }
 
 /// Emits one fixed-Huffman DEFLATE block over data[start..n). Positions
 /// before `start` are history only (a preset dictionary): they are inserted
 /// into the hash chains so matches can reach back into them, but produce no
-/// output themselves. `head`/`prev` must arrive reset (-1-filled, `prev`
-/// sized n).
+/// output themselves. Positions before `primed` must already be in the
+/// chains; `prev` must be sized n. Every position whose Tuning.hash_bytes
+/// bytes lie in [primed, n) is inserted exactly once, in ascending order.
+template <MatchTuning Tuning>
 void deflate_fixed_block(BitWriter* out, const unsigned char* data,
-                         std::size_t n, std::size_t start,
+                         std::size_t n, std::size_t start, std::size_t primed,
                          std::vector<std::int32_t>& head,
                          std::vector<std::int32_t>& prev) {
   out->put(1, 1);  // BFINAL
   out->put(1, 2);  // BTYPE = 01 (fixed Huffman)
 
-  for (std::size_t k = 0; k + kMinMatch <= n && k < start; ++k) {
-    const std::uint32_t h = hash3(data + k);
-    prev[k] = head[h];
-    head[h] = static_cast<std::int32_t>(k);
+  constexpr std::size_t kHashBytes = Tuning.hash_bytes;
+  for (std::size_t k = primed; k + kHashBytes <= n && k < start; ++k) {
+    insert_position<kHashBytes>(data, k, head, prev);
   }
 
   std::size_t i = start;
   while (i < n) {
-    int best_length = 0;
+    std::size_t best_length = 0;
     int best_distance = 0;
-    if (i + kMinMatch <= n) {
-      const std::uint32_t h = hash3(data + i);
+    if (i + kHashBytes <= n) {
+      const std::uint32_t h = hash_at<kHashBytes>(data + i);
       std::int32_t candidate = head[h];
-      int chain = kMaxChainLength;
+      int chain = Tuning.max_chain;
       const std::size_t max_length =
           std::min<std::size_t>(kMaxMatch, n - i);
       while (candidate >= 0 && chain-- > 0 &&
              i - static_cast<std::size_t>(candidate) <= kWindowSize) {
         const unsigned char* a = data + candidate;
         const unsigned char* b = data + i;
-        std::size_t length = 0;
-        while (length < max_length && a[length] == b[length]) ++length;
-        if (static_cast<int>(length) > best_length) {
-          best_length = static_cast<int>(length);
-          best_distance = static_cast<int>(i - static_cast<std::size_t>(candidate));
-          if (best_length == static_cast<int>(max_length)) break;
+        // A candidate only wins by matching beyond best_length, so the byte
+        // there rejects most candidates with one compare; the chosen match
+        // is the same as a full comparison of every candidate would pick.
+        if (best_length == 0 || a[best_length] == b[best_length]) {
+          const std::size_t length = match_length(a, b, max_length);
+          if (length > best_length) {
+            best_length = length;
+            best_distance =
+                static_cast<int>(i - static_cast<std::size_t>(candidate));
+            if (best_length == max_length) break;
+          }
         }
         candidate = prev[static_cast<std::size_t>(candidate)];
       }
@@ -240,26 +354,35 @@ void deflate_fixed_block(BitWriter* out, const unsigned char* data,
       head[h] = static_cast<std::int32_t>(i);
     }
 
-    if (best_length >= kMinMatch) {
-      encode_length(out, best_length);
-      encode_distance(out, best_distance);
+    if (best_length >= static_cast<std::size_t>(kMinMatch)) {
+      encode_match(out, static_cast<int>(best_length), best_distance);
       // Insert the skipped positions so later matches can reference them.
-      const std::size_t end = i + static_cast<std::size_t>(best_length);
-      for (std::size_t k = i + 1; k < end && k + kMinMatch <= n; ++k) {
-        const std::uint32_t h = hash3(data + k);
-        prev[k] = head[h];
-        head[h] = static_cast<std::int32_t>(k);
+      const std::size_t end = i + best_length;
+      for (std::size_t k = i + 1; k < end && k + kHashBytes <= n; ++k) {
+        insert_position<kHashBytes>(data, k, head, prev);
       }
       i = end;
     } else {
-      const FixedCode fc = fixed_literal_code(data[i]);
-      out->put_huffman(fc.code, fc.length);
+      encode_literal(out, data[i]);
       ++i;
     }
   }
 
-  const FixedCode eob = fixed_literal_code(256);
-  out->put_huffman(eob.code, eob.length);
+  encode_literal(out, 256);  // end of block
+}
+
+/// Undoes deflate_fixed_block's chain insertions of positions ≥ `primed`.
+/// Positions are inserted in ascending order and each records the head it
+/// replaced in prev, so replaying them in descending order restores every
+/// head to its pre-call value. O(inserted positions), independent loads.
+template <std::size_t HashBytes>
+void restore_heads(const unsigned char* data, std::size_t n,
+                   std::size_t primed, std::vector<std::int32_t>& head,
+                   const std::vector<std::int32_t>& prev) {
+  if (n < HashBytes) return;
+  for (std::size_t k = n - HashBytes + 1; k-- > primed;) {
+    head[hash_at<HashBytes>(data + k)] = prev[k];
+  }
 }
 
 }  // namespace
@@ -291,42 +414,70 @@ std::uint32_t adler32(std::string_view data, std::uint32_t seed) noexcept {
 // DeflateStream: reusable compressor with preset history.
 // ---------------------------------------------------------------------------
 
+PresetDictionary::PresetDictionary(std::string_view dict) {
+  if (dict.size() > kWindowSize) dict = dict.substr(dict.size() - kWindowSize);
+  bytes_.assign(dict);
+  id_ = bytes_.empty() ? 0 : adler32(bytes_);
+}
+
 void DeflateStream::preset(std::string_view dict) {
   if (dict.size() > kWindowSize) {
     dict = dict.substr(dict.size() - kWindowSize);
   }
-  dict_.assign(dict);
-  dict_id_ = dict_.empty() ? 0 : adler32(dict_);
+  if (!head_.empty() && dict.size() == dict_size_ &&
+      (dict.empty() ||
+       std::memcmp(dict.data(), work_.data(), dict_size_) == 0)) {
+    return;  // already primed with these bytes
+  }
+  work_.assign(dict);
+  dict_size_ = dict.size();
+  dict_id_ = dict.empty() ? 0 : adler32(dict);
+  constexpr std::size_t kHashBytes = kPresetTuning.hash_bytes;
+  primed_ = dict_size_ >= kHashBytes ? dict_size_ - (kHashBytes - 1) : 0;
+  head_.assign(kHashSize, -1);
+  prev_.resize(dict_size_);
+  const auto* data = reinterpret_cast<const unsigned char*>(work_.data());
+  for (std::size_t k = 0; k < primed_; ++k) {
+    insert_position<kHashBytes>(data, k, head_, prev_);
+  }
 }
 
-std::string DeflateStream::compress(std::string_view input) {
+void DeflateStream::compress(std::string_view input, std::string* out) {
+  if (head_.empty()) head_.assign(kHashSize, -1);
   const unsigned char* data;
   std::size_t n;
-  std::size_t start;
-  if (dict_.empty()) {
+  if (dict_size_ == 0) {
     data = reinterpret_cast<const unsigned char*>(input.data());
     n = input.size();
-    start = 0;
   } else {
     // Dictionary and input must be contiguous so matches can span the seam.
-    work_.assign(dict_);
+    work_.resize(dict_size_);
     work_.append(input);
     data = reinterpret_cast<const unsigned char*>(work_.data());
     n = work_.size();
-    start = dict_.size();
   }
+  // Sized geometrically: preset() shrinks prev_ to the dictionary, and an
+  // exact regrow here would reallocate whenever the input grew a little.
+  if (prev_.capacity() < n) prev_.reserve(std::max(n, 2 * prev_.capacity()));
+  prev_.resize(n);
 
-  head_.assign(kHashSize, -1);
-  prev_.assign(n, -1);
-
-  BitWriter out;
-  deflate_fixed_block(&out, data, n, start, head_, prev_);
-  return out.take();
+  BitWriter writer(*out);
+  if (dict_size_ == 0) {
+    deflate_fixed_block<kPlainTuning>(&writer, data, n, 0, 0, head_, prev_);
+    restore_heads<kPlainTuning.hash_bytes>(data, n, 0, head_, prev_);
+  } else {
+    deflate_fixed_block<kPresetTuning>(&writer, data, n, dict_size_, primed_,
+                                       head_, prev_);
+    restore_heads<kPresetTuning.hash_bytes>(data, n, primed_, head_, prev_);
+  }
+  writer.finish();
 }
 
 std::string deflate(std::string_view input) {
   DeflateStream stream;
-  return stream.compress(input);
+  std::string out;
+  stream.compress(input, &out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -339,6 +490,10 @@ namespace {
 struct HuffDecoder {
   std::array<int, 16> counts{};     // number of codes of each length
   std::vector<int> symbols;         // symbols ordered by (length, symbol)
+  /// Codes of up to kFastBits bits, indexed by the next kFastBits input
+  /// bits: (symbol << 4) | code length, or 0 where a longer code starts.
+  static constexpr int kFastBits = 9;
+  std::vector<std::uint16_t> fast;
 
   /// Builds from per-symbol code lengths; returns false on an over-
   /// subscribed code.
@@ -369,19 +524,54 @@ struct HuffDecoder {
             static_cast<int>(symbol);
       }
     }
+    // Canonical codes, first code of each length (RFC 1951 3.2.2); each
+    // short code fills every table slot whose low bits are its reversal.
+    fast.assign(std::size_t{1} << kFastBits, 0);
+    std::array<std::uint32_t, 16> next{};
+    std::uint32_t code = 0;
+    for (int len = 1; len <= 15; ++len) {
+      code = (code + static_cast<std::uint32_t>(
+                         counts[static_cast<std::size_t>(len - 1)]))
+             << 1;
+      next[static_cast<std::size_t>(len)] = code;
+    }
+    for (std::size_t symbol = 0; symbol < lengths.size(); ++symbol) {
+      const int len = lengths[symbol];
+      if (len == 0) continue;
+      const std::uint32_t c = next[static_cast<std::size_t>(len)]++;
+      if (len > kFastBits) continue;
+      std::uint32_t rev = 0;
+      for (int i = 0; i < len; ++i) rev = (rev << 1) | ((c >> i) & 1);
+      for (std::uint32_t fill = rev; fill < fast.size();
+           fill += std::uint32_t{1} << len) {
+        fast[fill] = static_cast<std::uint16_t>((symbol << 4) |
+                                                static_cast<unsigned>(len));
+      }
+    }
     return true;
   }
 
   Result<int> decode(BitReader* in) const {
+    const int held = in->fill(15);
+    const std::uint16_t entry = fast[in->peek(kFastBits)];
+    if (entry != 0 && (entry & 15) <= held) {
+      in->drop(entry & 15);
+      return entry >> 4;
+    }
+    // A code longer than the table, or input running out: canonical
+    // decoding one bit at a time.
+    const std::uint32_t bits = in->peek(15);
     int code = 0;
     int first = 0;
     int index = 0;
     for (int len = 1; len <= 15; ++len) {
-      Result<std::uint32_t> bit = in->take(1);
-      if (!bit.ok()) return bit.error();
-      code |= static_cast<int>(bit.value());
+      if (len > held) {
+        return Error{ErrorCode::kParseError, "deflate: out of input bits"};
+      }
+      code |= static_cast<int>((bits >> (len - 1)) & 1);
       const int count = counts[static_cast<std::size_t>(len)];
       if (code - first < count) {
+        in->drop(len);
         return symbols[static_cast<std::size_t>(index + (code - first))];
       }
       index += count;
@@ -417,9 +607,11 @@ const HuffDecoder& fixed_distance_decoder() {
   return decoder;
 }
 
+/// `dict` is the history before the stream's first output byte: a distance
+/// reaching past the start of `out` reads from its tail, in place.
 Status inflate_block(BitReader* in, const HuffDecoder& literals,
-                     const HuffDecoder& distances, std::string* out,
-                     std::size_t max_output) {
+                     const HuffDecoder& distances, std::string_view dict,
+                     std::string* out, std::size_t max_output) {
   for (;;) {
     Result<int> symbol = literals.decode(in);
     if (!symbol.ok()) return symbol.error();
@@ -450,16 +642,17 @@ Status inflate_block(BitReader* in, const HuffDecoder& literals,
     const std::size_t distance =
         static_cast<std::size_t>(kDistBase[dist_symbol.value()]) +
         dist_extra.value();
-    if (distance > out->size()) {
+    if (distance > dict.size() + out->size()) {
       return Error{ErrorCode::kParseError, "deflate: distance too far back"};
     }
     if (out->size() + static_cast<std::size_t>(length) > max_output) {
       return Error{ErrorCode::kOutOfRange, "deflate: output limit"};
     }
     // Byte-by-byte copy: overlapping copies (distance < length) must repeat.
-    std::size_t from = out->size() - distance;
-    for (int k = 0; k < length; ++k) {
-      *out += (*out)[from++];
+    // `from` indexes the history dict ++ out.
+    std::size_t from = dict.size() + out->size() - distance;
+    for (int k = 0; k < length; ++k, ++from) {
+      *out += from < dict.size() ? dict[from] : (*out)[from - dict.size()];
     }
   }
 }
@@ -534,20 +727,20 @@ Status inflate_dynamic_header(BitReader* in, HuffDecoder* literals,
 
 }  // namespace
 
-Result<std::string> inflate(std::string_view input, std::size_t max_output,
-                            std::string_view dict) {
+namespace {
+
+/// inflate() into `*out` (cleared first; its capacity is reused).
+Status inflate_into(std::string_view input, std::size_t max_output,
+                    std::string_view dict, std::string* out_ptr) {
   if (dict.size() > kWindowSize) {
     dict = dict.substr(dict.size() - kWindowSize);
   }
   BitReader in(input);
-  // The dictionary seeds the back-reference window exactly as if it had
-  // been decoded first; it is stripped before returning, and the output
-  // bound applies to the stream's own bytes only.
-  std::string out(dict);
-  const std::size_t limit =
-      max_output > static_cast<std::size_t>(-1) - dict.size()
-          ? static_cast<std::size_t>(-1)
-          : max_output + dict.size();
+  // The dictionary is the back-reference window before the first output
+  // byte, read in place; the output bound applies to the stream's own bytes.
+  std::string& out = *out_ptr;
+  out.clear();
+  const std::size_t limit = max_output;
   for (;;) {
     Result<std::uint32_t> bfinal = in.take(1);
     if (!bfinal.ok()) return bfinal.error();
@@ -580,8 +773,8 @@ Result<std::string> inflate(std::string_view input, std::size_t max_output,
       }
       case 1:  // fixed Huffman
         BSOAP_RETURN_IF_ERROR(inflate_block(&in, fixed_literal_decoder(),
-                                            fixed_distance_decoder(), &out,
-                                            limit));
+                                            fixed_distance_decoder(), dict,
+                                            &out, limit));
         break;
       case 2: {  // dynamic Huffman
         HuffDecoder literals;
@@ -589,17 +782,23 @@ Result<std::string> inflate(std::string_view input, std::size_t max_output,
         BSOAP_RETURN_IF_ERROR(
             inflate_dynamic_header(&in, &literals, &distances));
         BSOAP_RETURN_IF_ERROR(
-            inflate_block(&in, literals, distances, &out, limit));
+            inflate_block(&in, literals, distances, dict, &out, limit));
         break;
       }
       default:
         return Error{ErrorCode::kParseError, "deflate: reserved block type"};
     }
-    if (bfinal.value() != 0) {
-      out.erase(0, dict.size());
-      return out;
-    }
+    if (bfinal.value() != 0) return Status{};
   }
+}
+
+}  // namespace
+
+Result<std::string> inflate(std::string_view input, std::size_t max_output,
+                            std::string_view dict) {
+  std::string out;
+  BSOAP_RETURN_IF_ERROR(inflate_into(input, max_output, dict, &out));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -646,30 +845,37 @@ constexpr unsigned char kZlibFlagDict = 0x20;  // FDICT
 
 }  // namespace
 
-std::string zlib_compress(DeflateStream& stream, std::string_view input) {
-  std::string out;
+void zlib_compress(DeflateStream& stream, std::string_view input,
+                   std::string* out) {
+  out->clear();
   // CMF: CM=8 (deflate), CINFO=7 (32 KiB window).
   const unsigned char cmf = 0x78;
   unsigned char flg = stream.has_dictionary() ? kZlibFlagDict : 0;
   const unsigned rem = (static_cast<unsigned>(cmf) * 256u + flg) % 31u;
   if (rem != 0) flg = static_cast<unsigned char>(flg + (31u - rem));
-  out += static_cast<char>(cmf);
-  out += static_cast<char>(flg);
-  if (stream.has_dictionary()) append_be32(out, stream.dictionary_id());
-  out += stream.compress(input);
-  append_be32(out, adler32(input));
-  return out;
+  *out += static_cast<char>(cmf);
+  *out += static_cast<char>(flg);
+  if (stream.has_dictionary()) append_be32(*out, stream.dictionary_id());
+  stream.compress(input, out);
+  append_be32(*out, adler32(input));
 }
 
 std::string zlib_compress(std::string_view input, std::string_view dict) {
   DeflateStream stream;
   stream.preset(dict);
-  return zlib_compress(stream, input);
+  std::string out;
+  zlib_compress(stream, input, &out);
+  return out;
 }
 
-Result<std::string> zlib_decompress(std::string_view input,
-                                    std::size_t max_output,
-                                    std::string_view dict) {
+namespace {
+
+/// zlib_decompress against `dict` into `*out`. The DICTID is `*dict_id`
+/// when known; otherwise it is hashed here, and only if the stream asks
+/// for a dictionary.
+Status zlib_decode(std::string_view input, std::size_t max_output,
+                   std::string_view dict, const std::uint32_t* dict_id,
+                   std::string* out) {
   if (input.size() < 6) {
     return Error{ErrorCode::kParseError, "zlib: truncated"};
   }
@@ -691,7 +897,8 @@ Result<std::string> zlib_decompress(std::string_view input,
     offset = 6;
     std::string_view d = dict;
     if (d.size() > kWindowSize) d = d.substr(d.size() - kWindowSize);
-    if (d.empty() || adler32(d) != dictid) {
+    if (d.empty() ||
+        (dict_id != nullptr ? *dict_id : adler32(d)) != dictid) {
       return Error{ErrorCode::kInvalidArgument, "zlib: dictionary mismatch"};
     }
     effective_dict = d;
@@ -700,15 +907,29 @@ Result<std::string> zlib_decompress(std::string_view input,
     return Error{ErrorCode::kParseError, "zlib: truncated"};
   }
 
-  Result<std::string> body = inflate(
-      input.substr(offset, input.size() - offset - 4), max_output,
-      effective_dict);
-  if (!body.ok()) return body.error();
-
-  if (adler32(body.value()) != read_be32(input, input.size() - 4)) {
+  BSOAP_RETURN_IF_ERROR(
+      inflate_into(input.substr(offset, input.size() - offset - 4),
+                   max_output, effective_dict, out));
+  if (adler32(*out) != read_be32(input, input.size() - 4)) {
     return Error{ErrorCode::kParseError, "zlib: Adler-32 mismatch"};
   }
-  return body;
+  return Status{};
+}
+
+}  // namespace
+
+Result<std::string> zlib_decompress(std::string_view input,
+                                    std::size_t max_output,
+                                    std::string_view dict) {
+  std::string out;
+  BSOAP_RETURN_IF_ERROR(zlib_decode(input, max_output, dict, nullptr, &out));
+  return out;
+}
+
+Status zlib_decompress(std::string_view input, std::size_t max_output,
+                       const PresetDictionary& dict, std::string* out) {
+  const std::uint32_t id = dict.id();
+  return zlib_decode(input, max_output, dict.bytes(), &id, out);
 }
 
 std::string gzip_compress(std::string_view input) {

@@ -33,37 +33,66 @@ namespace bsoap::compress {
 std::uint32_t adler32(std::string_view data,
                       std::uint32_t seed = 1) noexcept;
 
+/// A preset dictionary, ready to decode against: its effective bytes (the
+/// ≤ 32 KiB tail the LZ77 window can reach) and their Adler-32 DICTID,
+/// computed once when the dictionary is made rather than per stream.
+class PresetDictionary {
+ public:
+  PresetDictionary() = default;
+  explicit PresetDictionary(std::string_view dict);
+
+  std::string_view bytes() const noexcept { return bytes_; }
+  /// The DICTID (0 when empty).
+  std::uint32_t id() const noexcept { return id_; }
+
+ private:
+  std::string bytes_;
+  std::uint32_t id_ = 0;
+};
+
 /// Reusable DEFLATE compressor. One instance amortizes the hash-chain
 /// allocations across calls (the one-shot `deflate()` free function rebuilds
 /// them per call), and can preset the LZ77 history window from a dictionary
 /// so matches reach back into bytes that never enter the stream — the
 /// differential trick at the compression layer: a body near-identical to the
 /// dictionary compresses to almost nothing.
+///
+/// The dictionary is primed once: preset() hashes it into the chains and
+/// computes its DICTID, and every compress() call restores the chain heads
+/// it changed before returning, so a call costs O(input) however large the
+/// dictionary is.
 class DeflateStream {
  public:
   /// Presets the history window. Only the last 32 KiB matter (the LZ77
   /// window); longer dictionaries are tail-truncated. Clears any previous
-  /// dictionary when called with an empty view.
+  /// dictionary when called with an empty view. A no-op (one memcmp) when
+  /// the effective bytes equal the current dictionary's.
   void preset(std::string_view dict);
 
   /// Adler-32 of the effective (possibly tail-truncated) dictionary — the
   /// DICTID both sides must agree on. 0 when no dictionary is set.
   std::uint32_t dictionary_id() const noexcept { return dict_id_; }
 
-  bool has_dictionary() const noexcept { return !dict_.empty(); }
+  bool has_dictionary() const noexcept { return dict_size_ != 0; }
 
   /// Compresses `input` into one raw DEFLATE stream (fixed-Huffman, single
-  /// final block), with matches allowed to reference the preset dictionary.
-  /// The dictionary persists across calls; each call is an independent
-  /// stream.
-  std::string compress(std::string_view input);
+  /// final block) appended to `*out`, with matches allowed to reference the
+  /// preset dictionary. The dictionary persists across calls; each call is
+  /// an independent stream.
+  void compress(std::string_view input, std::string* out);
 
  private:
-  std::string dict_;
-  std::uint32_t dict_id_ = 0;
+  /// Chain heads, between calls exactly those of the primed dictionary.
   std::vector<std::int32_t> head_;
   std::vector<std::int32_t> prev_;
-  std::string work_;  // dict + input, contiguous so matches can span the seam
+  /// The dictionary bytes, followed during a call by the input, contiguous
+  /// so matches can span the seam.
+  std::string work_;
+  std::size_t dict_size_ = 0;
+  std::uint32_t dict_id_ = 0;
+  /// Dictionary positions hashed into the chains by preset(): those whose
+  /// hashed bytes all lie inside the dictionary.
+  std::size_t primed_ = 0;
 };
 
 /// Raw DEFLATE stream (no zlib/gzip wrapper).
@@ -85,7 +114,11 @@ std::uint32_t crc32(std::string_view data,
 /// preset dictionary the header carries FDICT and the dictionary's Adler-32
 /// as DICTID, so the receiving side can verify it holds the same bytes.
 std::string zlib_compress(std::string_view input, std::string_view dict = {});
-std::string zlib_compress(DeflateStream& stream, std::string_view input);
+/// The same through a reusable stream (its preset dictionary, if any), into
+/// `*out`, reusing its capacity: a sender compressing every request
+/// allocates only when a payload outgrows the last.
+void zlib_compress(DeflateStream& stream, std::string_view input,
+                   std::string* out);
 
 /// Decodes a zlib stream. If the stream carries FDICT, `dict` must hash to
 /// the recorded DICTID (kInvalidArgument "zlib: dictionary mismatch"
@@ -94,6 +127,11 @@ std::string zlib_compress(DeflateStream& stream, std::string_view input);
 Result<std::string> zlib_decompress(std::string_view input,
                                     std::size_t max_output = 1u << 30,
                                     std::string_view dict = {});
+/// The same against a prepared dictionary, into `*out` (its capacity is
+/// reused): the DICTID is compared as stored, and the dictionary bytes are
+/// read in place — no per-stream copy or hash.
+Status zlib_decompress(std::string_view input, std::size_t max_output,
+                       const PresetDictionary& dict, std::string* out);
 
 /// gzip member: header + deflate body + CRC32 + ISIZE.
 std::string gzip_compress(std::string_view input);

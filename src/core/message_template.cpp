@@ -1,6 +1,7 @@
 #include "core/message_template.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "textconv/dtoa.hpp"
@@ -44,6 +45,11 @@ void restore_plane_slot(DutTable& dut, std::size_t idx, const DutEntry& e) {
 }
 
 }  // namespace
+
+std::uint64_t MessageTemplate::next_uid() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 void UpdateJournal::begin(MessageTemplate& tmpl) {
   records_.clear();

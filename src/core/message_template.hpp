@@ -257,8 +257,17 @@ class MessageTemplate {
   /// the rewrite engine reports every field it touches while set.
   UpdateJournal* journal() const { return journal_; }
 
+  /// Process-unique identity of this template's serialized contents,
+  /// renewed when rebuild_template replaces them wholesale. State derived
+  /// from the bytes elsewhere (a diff-wire pin's block digests) records the
+  /// uid it was derived from and is not trusted for any other.
+  std::uint64_t uid() const { return uid_; }
+  void renew_uid() { uid_ = next_uid(); }
+
  private:
   friend class UpdateJournal;
+  static std::uint64_t next_uid();
+
   /// Attempts to widen entry `idx` to `new_width` by taking padding from a
   /// following entry in the same chunk. Returns true on success.
   bool try_steal(std::size_t idx, std::uint32_t new_width);
@@ -272,6 +281,7 @@ class MessageTemplate {
   DutTable dut_;
   TemplateStats stats_;
   UpdateJournal* journal_ = nullptr;
+  std::uint64_t uid_ = next_uid();
 };
 
 }  // namespace bsoap::core

@@ -1,6 +1,7 @@
 #include "core/send_pipeline.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/timing.hpp"
 #include "diffwire/wire_format.hpp"
@@ -15,6 +16,56 @@ constexpr std::size_t kDictTailBytes = 32 * 1024;
 std::string_view dict_tail(std::string_view body) {
   if (body.size() <= kDictTailBytes) return body;
   return body.substr(body.size() - kDictTailBytes);
+}
+
+/// Reads a chunked body's diff-wire blocks in ascending order for digesting:
+/// in place when a block lies inside one chunk, gathered into a copy when it
+/// straddles a chunk boundary.
+class BlockCursor {
+ public:
+  explicit BlockCursor(const buffer::ChunkedBuffer& buf)
+      : buf_(buf), body_len_(buf.total_size()) {}
+
+  /// Digest of block `index` (< the body's block count). Indices must not
+  /// decrease from one call to the next.
+  std::uint64_t digest(std::size_t index) {
+    const std::size_t begin = index * diffwire::kBlockSize;
+    const std::size_t n = std::min(diffwire::kBlockSize, body_len_ - begin);
+    std::string_view view = buf_.chunk_view(chunk_);
+    while (begin >= base_ + view.size()) {
+      base_ += view.size();
+      view = buf_.chunk_view(++chunk_);
+    }
+    const auto block = static_cast<std::uint32_t>(index);
+    std::size_t off = begin - base_;
+    if (off + n <= view.size()) {
+      return diffwire::block_digest(block, view.data() + off, n);
+    }
+    char gathered[diffwire::kBlockSize];
+    for (std::size_t got = 0, c = chunk_; got < n; ++c, off = 0) {
+      const std::string_view piece = buf_.chunk_view(c);
+      const std::size_t take = std::min(n - got, piece.size() - off);
+      std::memcpy(gathered + got, piece.data() + off, take);
+      got += take;
+    }
+    return diffwire::block_digest(block, gathered, n);
+  }
+
+ private:
+  const buffer::ChunkedBuffer& buf_;
+  std::size_t body_len_;
+  std::size_t chunk_ = 0;  ///< chunk holding the last block's first byte
+  std::size_t base_ = 0;   ///< body offset of chunk_
+};
+
+/// Digests every block of `buf` from scratch (a full send's new pin).
+void digest_all(const buffer::ChunkedBuffer& buf,
+                diffwire::BlockDigests& digests) {
+  digests.reset(buf.total_size());
+  BlockCursor cursor(buf);
+  for (std::size_t i = 0; i < digests.block_count(); ++i) {
+    digests.set(i, cursor.digest(i));
+  }
 }
 
 /// Times the stages only when an observer is installed: the unobserved hot
@@ -234,11 +285,10 @@ Recovery SendPipeline::recover_failed_send() {
   return Recovery::kNone;
 }
 
-std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
-                                            std::uint64_t wire_id,
-                                            std::uint32_t epoch,
-                                            SendReport* report,
-                                            bool slice_body) {
+std::size_t SendPipeline::build_patch_frame(
+    MessageTemplate& tmpl, std::uint64_t wire_id, std::uint32_t epoch,
+    const diffwire::BlockDigests& digests, SendReport* report,
+    bool slice_body) {
   const buffer::ChunkedBuffer& buf = tmpl.buffer();
 
   patch_runs_.clear();
@@ -279,10 +329,18 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
     }
   }
 
-  std::uint64_t checksum = diffwire::kFnvOffset;
-  for (std::size_t i = 0; i < buf.chunk_count(); ++i) {
-    checksum = diffwire::fnv1a(buf.chunk_view(i), checksum);
-  }
+  // The root: the pin's digests with the blocks the runs touch re-hashed.
+  // The new digests wait in pending_digests_ until the write succeeds, so a
+  // failed send leaves the pin's digests describing what the receiver holds.
+  // A replay has no runs and hashes nothing.
+  pending_digests_.clear();
+  std::uint64_t root = digests.root();
+  BlockCursor cursor(buf);
+  diffwire::for_each_touched_block(patch_runs_, [&](std::size_t block) {
+    const std::uint64_t digest = cursor.digest(block);
+    root += digest - digests.digest(block);
+    pending_digests_.emplace_back(block, digest);
+  });
 
   diffwire::PatchHeader header;
   header.flags = patch_runs_.empty() ? diffwire::kFlagReplay : std::uint8_t{0};
@@ -290,7 +348,14 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
   header.epoch = epoch;
   header.run_count = static_cast<std::uint32_t>(patch_runs_.size());
   header.body_len = static_cast<std::uint32_t>(buf.total_size());
-  header.checksum = checksum;
+  header.checksum = root;
+#ifdef BSOAP_DEBUG_INVARIANTS
+  // The root rests on the journal recording every changed byte: check it
+  // against the root of the template's bytes computed from scratch.
+  diffwire::BlockDigests fresh;
+  digest_all(buf, fresh);
+  BSOAP_ASSERT(fresh.root() == root);
+#endif
 
   patch_buf_.clear();
   diffwire::append_patch_header(patch_buf_, header);
@@ -349,7 +414,19 @@ std::size_t SendPipeline::build_patch_frame(MessageTemplate& tmpl,
   report->patch_send = true;
   report->patch_replay = patch_runs_.empty();
   report->patch_runs = header.run_count;
+  report->patch_blocks_hashed =
+      static_cast<std::uint32_t>(pending_digests_.size());
   return total;
+}
+
+void SendPipeline::forget_unsent_update(std::uint64_t wire_id,
+                                        const SendReport& report) {
+  // A content match changed no bytes, so the pin's digests still describe
+  // the template. Any other update may stay in the template (no journal, or
+  // a caller that never recovers), and a patch rooted in the old digests
+  // would then pass the receiver's check against bytes the client does not
+  // hold; drop the pin so the next send re-offers and digests afresh.
+  if (report.match != MatchKind::kContentMatch) diffwire_->unpin(wire_id);
 }
 
 bool SendPipeline::encode_payload(http::ContentCoding coding,
@@ -359,7 +436,7 @@ bool SendPipeline::encode_payload(http::ContentCoding coding,
   StopWatch watch;
   if (coding == http::ContentCoding::kDeflatePreset) {
     deflate_stream_.preset(dict);
-    coded_buf_ = compress::zlib_compress(deflate_stream_, raw);
+    compress::zlib_compress(deflate_stream_, raw, &coded_buf_);
   } else {
     coded_buf_ = http::coding_for(coding).encode(raw);
   }
@@ -392,11 +469,14 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
   if (diffwire_ != nullptr && head_kind == HeadKind::kRequest) {
     wire_id = diffwire_->wire_id(tmpl.signature);
     std::uint32_t epoch = 0;
+    diffwire::BlockDigests* digests = nullptr;
     const bool patch_safe =
         report->match == MatchKind::kContentMatch ||
         (report->match == MatchKind::kPerfectStructural &&
          journal_ != nullptr && journal_->armed() && !journal_->structural());
-    if (patch_safe && diffwire_->should_patch(wire_id, &epoch)) {
+    if (patch_safe && diffwire_->should_patch(wire_id, tmpl.uid(),
+                                              envelope_bytes, &epoch,
+                                              &digests)) {
       // With preset coding acked, the frame is flattened (no zero-copy
       // slices) so it can run through the compressor against the pin
       // generation's dictionary.
@@ -405,8 +485,8 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
           diffwire_->coding_ready(wire_id);
       const bool slice_body =
           !preset_ready && &framing == &http::content_length_framer();
-      const std::size_t patch_bytes =
-          build_patch_frame(tmpl, wire_id, epoch, report, slice_body);
+      const std::size_t patch_bytes = build_patch_frame(
+          tmpl, wire_id, epoch, *digests, report, slice_body);
       bool coded = false;
       if (preset_ready) {
         coded = encode_payload(http::ContentCoding::kDeflatePreset, patch_buf_,
@@ -460,12 +540,20 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
       for (const net::ConstSlice& s : wire_slices_) wire_bytes += s.len;
       clock.lap(SendStage::kFrame, wire_bytes);
 
-      BSOAP_RETURN_IF_ERROR(dest.transport->send_slices(wire_slices_));
+      const Status sent = dest.transport->send_slices(wire_slices_);
+      if (!sent.ok()) {
+        forget_unsent_update(wire_id, *report);
+        return sent;
+      }
       clock.lap(SendStage::kWrite, wire_bytes);
 
-      // The frame left the socket: advance the epoch optimistically. If the
-      // server never applies it, the resulting epoch gap NACKs the next
-      // patch and the sender falls back to a full send.
+      // The frame left the socket: the pin's digests now describe the
+      // template, and the epoch advances optimistically. If the server never
+      // applies the frame, the resulting epoch gap NACKs the next patch and
+      // the sender falls back to a full send.
+      for (const auto& [block, digest] : pending_digests_) {
+        digests->set(block, digest);
+      }
       diffwire_->note_patch_sent(wire_id, envelope_bytes, payload_bytes,
                                  report->patch_replay);
       report->envelope_bytes = payload_bytes;
@@ -575,11 +663,16 @@ Status SendPipeline::frame_and_write(MessageTemplate& tmpl,
   for (const net::ConstSlice& s : wire_slices_) wire_bytes += s.len;
   clock.lap(SendStage::kFrame, wire_bytes);
 
-  BSOAP_RETURN_IF_ERROR(dest.transport->send_slices(wire_slices_));
+  const Status sent = dest.transport->send_slices(wire_slices_);
+  if (!sent.ok()) {
+    if (offer) forget_unsent_update(wire_id, *report);
+    return sent;
+  }
   clock.lap(SendStage::kWrite, wire_bytes);
 
   if (offer) {
-    diffwire_->note_offer_sent(wire_id);
+    // The receiver pins this body: digest it from scratch, once per offer.
+    digest_all(tmpl.buffer(), diffwire_->note_offer_sent(wire_id, tmpl.uid()));
     if (preset_offer) {
       // This offer's body is the pin generation the server just (re)pinned:
       // its tail is the dictionary both sides preset until the next offer.

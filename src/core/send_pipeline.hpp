@@ -79,6 +79,9 @@ struct SendReport {
   bool patch_send = false;
   bool patch_replay = false;
   std::uint32_t patch_runs = 0;  ///< dirty runs the patch frame carried
+  /// Diff-wire blocks re-hashed for the patch frame's root: those the runs
+  /// touch (0 on a replay and on full sends).
+  std::uint32_t patch_blocks_hashed = 0;
   /// Send attempts a retrying sender made (1 = first try succeeded; always
   /// 1 when sent through a bare SendPipeline).
   std::uint32_t attempts = 1;
@@ -310,9 +313,19 @@ class SendPipeline {
   /// lease is held. Otherwise the whole frame is flattened into patch_buf_
   /// (the chunked framer wraps each body slice as one HTTP chunk, so slice
   /// emission would change its wire bytes).
+  ///
+  /// The frame's root is `digests` (the pin's block digests) with only the
+  /// blocks the runs touch re-hashed; the re-hashed digests are left in
+  /// pending_digests_ for the caller to commit once the write succeeds.
   std::size_t build_patch_frame(MessageTemplate& tmpl, std::uint64_t wire_id,
-                                std::uint32_t epoch, SendReport* report,
-                                bool slice_body);
+                                std::uint32_t epoch,
+                                const diffwire::BlockDigests& digests,
+                                SendReport* report, bool slice_body);
+
+  /// A diff-wire write failed: unpins `wire_id` unless the update left the
+  /// template's bytes unchanged, so block digests never outlive the bytes
+  /// they describe.
+  void forget_unsent_update(std::uint64_t wire_id, const SendReport& report);
 
   /// Compresses `raw` into coded_buf_ under `coding` (kDeflatePreset runs
   /// the reusable DeflateStream preset with `dict`). Returns true when the
@@ -357,6 +370,9 @@ class SendPipeline {
   std::vector<PatchRunScratch> patch_runs_;
   std::vector<std::size_t> chunk_offsets_;
   std::vector<std::size_t> patch_hdr_ends_;  ///< run-header ends in patch_buf_
+  /// (block, digest) re-hashed by the patch being sent, committed to the
+  /// pin's digests after its write succeeds.
+  std::vector<std::pair<std::size_t, std::uint64_t>> pending_digests_;
 };
 
 }  // namespace bsoap::core

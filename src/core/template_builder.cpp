@@ -259,6 +259,7 @@ std::unique_ptr<MessageTemplate> build_template(const RpcCall& call,
 }
 
 void rebuild_template(MessageTemplate& tmpl, const RpcCall& call) {
+  tmpl.renew_uid();
   tmpl.buffer().clear();
   tmpl.dut().clear();
   Builder(tmpl).build(call);

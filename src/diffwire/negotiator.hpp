@@ -14,6 +14,14 @@
 // blocks a send: any doubt resolves to a full send, and the receiver's
 // epoch/checksum validation plus NACK fallback make that always correct.
 //
+// Each ID also holds the block digests of the body last sent under it
+// (wire_format.hpp), tagged with the template they were computed from, so a
+// patch's root costs a re-hash of only the blocks its runs touch. The
+// receiver's root check covers its whole replica, but the sender's root is
+// only as good as its digests: they must describe the template's bytes
+// exactly, so a patch goes out only from the template they were computed
+// from, and they change only once a send's write has succeeded.
+//
 // Wire IDs are the call's structure signature mixed with a per-session
 // token, so two clients sending the same call shape pin distinct replicas
 // server-side instead of clobbering each other's (a collision is not a
@@ -29,6 +37,8 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "diffwire/wire_format.hpp"
 
 namespace bsoap::diffwire {
 
@@ -54,26 +64,39 @@ class ClientSession {
     return mix(signature ^ token_);
   }
 
-  /// True when `id` is pinned; `*epoch` receives the epoch the next patch
-  /// frame must carry.
-  bool should_patch(std::uint64_t id, std::uint32_t* epoch) const {
+  /// True when `id` is pinned and its block digests describe the template
+  /// about to be sent: `template_uid` (MessageTemplate::uid) is the one they
+  /// were computed from and the body is still `body_len` bytes long.
+  /// `*epoch` receives the epoch the next patch frame must carry and
+  /// `*digests` the pin's digests, which the patch updates for the blocks
+  /// its runs touch.
+  bool should_patch(std::uint64_t id, std::uint64_t template_uid,
+                    std::size_t body_len, std::uint32_t* epoch,
+                    BlockDigests** digests) {
     const auto it = states_.find(id);
-    if (it == states_.end() || it->second.state != State::kPinned) {
+    if (it == states_.end() || it->second.state != State::kPinned ||
+        it->second.template_uid != template_uid ||
+        it->second.digests.body_len() != body_len) {
       return false;
     }
     *epoch = it->second.next_epoch;
+    *digests = &it->second.digests;
     return true;
   }
 
   /// A full send carrying the offer header went out: the ID is offered
   /// (pinned state resets — the receiver re-pinned at epoch 0 and must ack
-  /// again before patches resume).
-  void note_offer_sent(std::uint64_t id) {
+  /// again before patches resume). The body sent came from the template
+  /// `template_uid`; the caller fills the returned digests from it.
+  BlockDigests& note_offer_sent(std::uint64_t id,
+                                std::uint64_t template_uid) {
     Entry& e = states_[id];
     e.state = State::kOffered;
     e.next_epoch = 1;
+    e.template_uid = template_uid;
     last_offer_ = id;
     ++stats_.offers_sent;
+    return e.digests;
   }
 
   /// A patch frame was written in full: advance the epoch optimistically.
@@ -106,6 +129,11 @@ class ClientSession {
     ++stats_.patch_nacks;
     ++stats_.fallback_full_sends;
   }
+
+  /// Forgets the pin without a NACK: the sender can no longer vouch that
+  /// its digests match the template (an update whose write failed with no
+  /// journal to roll it back). The next send re-offers.
+  void unpin(std::uint64_t id) { states_.erase(id); }
 
   /// The wire ID the most recent offer went out under (0 = none yet) —
   /// lets the response reader ack without re-deriving the signature.
@@ -160,6 +188,11 @@ class ClientSession {
     /// the preset body NACKs and note_nack clears everything).
     std::string dict;
     bool coding_acked = false;
+    /// Block digests of the body last sent under this ID, and the template
+    /// they were computed from. A full send recomputes them; a patch
+    /// re-hashes only the blocks its runs touch, after its write succeeds.
+    BlockDigests digests;
+    std::uint64_t template_uid = 0;
   };
 
   /// splitmix64 finalizer: spreads signature ^ token over all 64 bits.

@@ -6,44 +6,39 @@
 
 namespace bsoap::diffwire {
 
-namespace {
-/// DEFLATE window size: a preset dictionary beyond this is unreachable.
-constexpr std::size_t kMaxDictBytes = 32 * 1024;
-
-std::string_view dict_tail(std::string_view body) {
-  if (body.size() <= kMaxDictBytes) return body;
-  return body.substr(body.size() - kMaxDictBytes);
-}
-}  // namespace
-
 bool ReplicaStore::pin(std::uint64_t id, std::string_view body,
                        std::uint64_t* generation) {
+  // The dictionary (the body's ≤ 32 KiB tail) and its DICTID are made here,
+  // once per pin, so decoding a preset-coded body neither copies nor
+  // re-hashes it.
+  std::shared_ptr<const compress::PresetDictionary> dict;
+  if (options_.retain_dictionaries) {
+    dict = std::make_shared<const compress::PresetDictionary>(body);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t gen = ++generation_counter_;
   if (generation != nullptr) *generation = gen;
   const auto it = index_.find(id);
   if (it != index_.end()) {
     Replica& replica = *it->second;
-    bytes_ -= replica.body.size() + replica.dict.size();
+    bytes_ -= replica.footprint();
     replica.body.assign(body);
+    replica.digests.assign(replica.body);
     replica.epoch = 0;
-    replica.dict.assign(options_.retain_dictionaries ? dict_tail(body)
-                                                     : std::string_view{});
+    replica.dict = std::move(dict);
     replica.generation = gen;
     replica.attachment.reset();  // it described the replaced body
-    bytes_ += replica.body.size() + replica.dict.size();
+    bytes_ += replica.footprint();
     lru_.splice(lru_.begin(), lru_, it->second);
     ++counters_.repins;
     enforce_budget_locked();
     return true;
   }
-  lru_.push_front(Replica{id, std::string(body), 0,
-                          options_.retain_dictionaries
-                              ? std::string(dict_tail(body))
-                              : std::string{},
-                          gen, nullptr});
+  lru_.push_front(Replica{id, std::string(body), {}, 0, std::move(dict), gen,
+                          nullptr});
+  lru_.front().digests.assign(lru_.front().body);
   index_[id] = lru_.begin();
-  bytes_ += lru_.front().body.size() + lru_.front().dict.size();
+  bytes_ += lru_.front().footprint();
   ++counters_.pins;
   enforce_budget_locked();
   return false;
@@ -66,10 +61,9 @@ std::shared_ptr<ReplicaAttachment> ReplicaStore::attachment(
   return it->second->attachment;
 }
 
-Result<std::string> ReplicaStore::decode_preset(std::uint64_t id,
-                                                std::string_view body,
-                                                std::size_t max_output) {
-  std::string dict;
+Status ReplicaStore::decode_preset(std::uint64_t id, std::string_view body,
+                                   std::size_t max_output, std::string* out) {
+  std::shared_ptr<const compress::PresetDictionary> dict;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(id);
@@ -77,9 +71,13 @@ Result<std::string> ReplicaStore::decode_preset(std::uint64_t id,
       ++counters_.nacks;
       return Error{ErrorCode::kNotFound, "template not pinned"};
     }
-    dict = it->second->dict;  // copy: the inflate runs outside the lock
+    // A reference, not a copy: the inflate runs outside the lock, and a
+    // racing re-pin replaces the pointer rather than the bytes.
+    dict = it->second->dict;
   }
-  Result<std::string> decoded = compress::zlib_decompress(body, max_output, dict);
+  static const compress::PresetDictionary kNoDictionary;
+  const Status decoded = compress::zlib_decompress(
+      body, max_output, dict != nullptr ? *dict : kNoDictionary, out);
   if (decoded.ok()) return decoded;
   // Undecodable preset body: same treatment as a bad patch frame — erase
   // the replica so the NACK answer drives the sender's full-send re-pin.
@@ -116,11 +114,16 @@ Status ReplicaStore::apply(const PatchFrame& frame, std::string* reconstructed,
       return nack_locked(it->second, h.template_id, "run out of bounds");
     }
   }
-  // All runs bounds-checked: apply, then verify before exposing the result.
+  // All runs bounds-checked: apply, then re-hash just the blocks they
+  // overwrote and verify the root before exposing the result.
   for (const PatchRun& run : frame.runs) {
     std::memcpy(replica.body.data() + run.offset, run.data, run.length);
   }
-  if (fnv1a(replica.body) != h.checksum) {
+  for_each_touched_block(frame.runs, [&](std::size_t block) {
+    replica.digests.rehash(replica.body, block);
+    ++counters_.blocks_hashed;
+  });
+  if (replica.digests.root() != h.checksum) {
     return nack_locked(it->second, h.template_id, "checksum mismatch");
   }
   replica.epoch = h.epoch;
@@ -167,7 +170,7 @@ Status ReplicaStore::nack_locked(LruIter it, std::uint64_t id,
 }
 
 void ReplicaStore::remove_locked(LruIter it) {
-  bytes_ -= it->body.size() + it->dict.size();
+  bytes_ -= it->footprint();
   index_.erase(it->id);
   lru_.erase(it);
 }

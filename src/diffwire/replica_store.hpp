@@ -4,8 +4,11 @@
 // template ID, kept verbatim so a patch frame reconstructs the sender's
 // current envelope by overwriting dirty runs in place. The store is shared
 // by every worker (blocking pool or reactor dispatch), so one mutex guards
-// the map — a patch apply is short (a few memcpys plus one checksum pass)
-// and requests for one template arrive serialized per connection anyway.
+// the map. A patch apply is short and proportional to the patch: a few
+// memcpys, then a re-hash of only the kBlockSize blocks they overwrote
+// against the replica's stored block digests (a replay re-hashes none). The
+// whole-body digest is computed once, at pin time. Requests for one template
+// arrive serialized per connection anyway.
 //
 // Every validation failure is a NACK, and a NACK erases the replica: the
 // sender's next send is a full body with a fresh offer, which re-pins at
@@ -34,6 +37,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "compress/deflate.hpp"
 #include "diffwire/wire_format.hpp"
 
 namespace bsoap::diffwire {
@@ -80,7 +84,9 @@ class ReplicaStore {
   };
 
   /// Applies a decoded patch frame onto the pinned replica: validates ID,
-  /// epoch, body length, run bounds and the whole-body checksum, then
+  /// epoch, body length and run bounds, copies the runs in, re-hashes the
+  /// blocks they touched and compares the body's root with the frame's
+  /// checksum, then
   /// copies the reconstructed body into `reconstructed` and advances the
   /// replica's epoch. On any validation failure the replica is erased and
   /// an error describing the NACK reason is returned (kNotFound for an
@@ -100,14 +106,16 @@ class ReplicaStore {
   std::shared_ptr<ReplicaAttachment> attachment(std::uint64_t id) const;
 
   /// Decodes a preset-coded (zlib FDICT) body against `id`'s pin-generation
-  /// dictionary. The dictionary is copied under the lock and the inflate
-  /// runs outside it, so a large body never stalls other workers. Any
+  /// dictionary. The dictionary (and its DICTID, hashed at pin time) is
+  /// referenced under the lock and the inflate runs outside it, so a large
+  /// body never stalls other workers. Any
   /// failure — unknown ID (kNotFound), dictionary mismatch, corrupt stream,
   /// `max_output` exceeded — erases the replica and counts a NACK, exactly
   /// like a bad patch frame: the sender falls back to an identity full send
-  /// and re-pins.
-  Result<std::string> decode_preset(std::uint64_t id, std::string_view body,
-                                    std::size_t max_output);
+  /// and re-pins. The decoded body lands in `*out`, whose capacity is
+  /// reused.
+  Status decode_preset(std::uint64_t id, std::string_view body,
+                       std::size_t max_output, std::string* out);
 
   /// Drops one replica (true if it was pinned). Test/ops hook: the next
   /// patch for the ID NACKs, driving the sender's full-send fallback.
@@ -122,6 +130,9 @@ class ReplicaStore {
     std::uint64_t applies = 0;  ///< patch frames applied (incl. replays)
     std::uint64_t replays = 0;  ///< header-only frames (run_count 0)
     std::uint64_t nacks = 0;    ///< rejected frames (replica erased)
+    /// Blocks re-hashed by patch applies (a replay re-hashes none; a pin's
+    /// from-scratch digest is not counted).
+    std::uint64_t blocks_hashed = 0;
     std::uint64_t evictions = 0;
     std::uint64_t pinned_replicas = 0;  ///< gauge
     std::uint64_t pinned_bytes = 0;     ///< gauge
@@ -132,15 +143,24 @@ class ReplicaStore {
   struct Replica {
     std::uint64_t id = 0;
     std::string body;
+    /// Block digests of `body`, computed at pin time and kept current by
+    /// re-hashing only the blocks each patch overwrites.
+    BlockDigests digests;
     std::uint32_t epoch = 0;
     /// Pin-generation dictionary: the tail (≤ 32 KiB) of the body as it was
-    /// pinned. Fixed until the next re-pin — `body` mutates under patches,
-    /// but both sides preset from the offer-time bytes, so the dictionary
-    /// must not follow.
-    std::string dict;
+    /// pinned, with its DICTID. Fixed until the next re-pin — `body` mutates
+    /// under patches, but both sides preset from the offer-time bytes, so
+    /// the dictionary must not follow. Shared so a decode outside the lock
+    /// reads it without a copy. Null unless dictionaries are retained.
+    std::shared_ptr<const compress::PresetDictionary> dict;
     /// Monotonic pin counter: attach() refuses stale generations.
     std::uint64_t generation = 0;
     std::shared_ptr<ReplicaAttachment> attachment;
+
+    /// Bytes charged against Options::max_bytes.
+    std::size_t footprint() const {
+      return body.size() + (dict != nullptr ? dict->bytes().size() : 0);
+    }
   };
   using LruIter = std::list<Replica>::iterator;
 

@@ -241,8 +241,10 @@ bool ServerRuntime::answer_request(Worker& worker,
                                    const http::HttpRequest& request,
                                    net::Transport& transport) {
   std::string_view body = request.body;
-  std::string reconstructed;  // patch sends: the replayed envelope
-  std::string preset_decoded;  // preset-coded sends: the inflated body
+  // Patch sends reconstruct into worker.reconstructed, preset-coded sends
+  // inflate into worker.decoded: reused, so a steady stream of
+  // body-sized requests allocates nothing.
+  std::string& reconstructed = worker.reconstructed;
   // Diff-wire: reconstruct patch frames against the pinned replica, and pin
   // (or re-pin) full bodies the client offers. The ack rides back on this
   // request's response via extra_headers.
@@ -286,11 +288,11 @@ bool ServerRuntime::answer_request(Worker& worker,
       }
       const Clock::time_point decode_begin =
           obs != nullptr ? Clock::now() : Clock::time_point{};
-      Result<std::string> decoded =
-          replicas_->decode_preset(id, body, options_.max_inflate_bytes);
+      const Status decoded = replicas_->decode_preset(
+          id, body, options_.max_inflate_bytes, &worker.decoded);
       if (obs != nullptr) {
         obs->on_stage(RecvStage::kDecode, elapsed_ns(decode_begin),
-                      decoded.ok() ? decoded.value().size() : 0);
+                      decoded.ok() ? worker.decoded.size() : 0);
       }
       if (!decoded.ok()) {
         stats_.patch_nacks.fetch_add(1, std::memory_order_relaxed);
@@ -299,8 +301,7 @@ bool ServerRuntime::answer_request(Worker& worker,
                                                  decoded.error().message))
             .ok();
       }
-      preset_decoded = std::move(decoded.value());
-      body = preset_decoded;
+      body = worker.decoded;
     }
     const http::Header* content_type = request.find("Content-Type");
     if (content_type != nullptr &&

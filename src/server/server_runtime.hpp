@@ -179,6 +179,10 @@ class ServerRuntime {
     /// Full-parse target, reused across the worker's requests; valid from
     /// the parse through the response write.
     soap::RpcCall call;
+    /// Request-body buffers, reused across the worker's requests: a patch's
+    /// reconstructed envelope and a preset-coded body's inflated bytes.
+    std::string reconstructed;
+    std::string decoded;
     std::thread thread;
     std::atomic<std::uint64_t> template_bytes{0};
     std::atomic<std::uint64_t> template_evictions{0};

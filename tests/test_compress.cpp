@@ -104,6 +104,20 @@ TEST(Deflate, SoapEnvelopeCompresses) {
   EXPECT_EQ(round_trip(envelope), envelope);
 }
 
+TEST(Deflate, PlainStreamsMatchThreeByteRepeats) {
+  // "abc" recurs four bytes apart, and every 4-byte window holds a unique
+  // separator: only a match finder that chains 3-byte prefixes codes the
+  // repeats as 12-bit back-references instead of 24 bits of literals.
+  // Small SOAP responses are full of such short, near repeats.
+  std::string text;
+  for (int i = 0; i < 100; ++i) {
+    text += "abc";
+    text += static_cast<char>(150 + i);
+  }
+  EXPECT_LT(deflate(text).size(), text.size() * 3 / 4);
+  EXPECT_EQ(round_trip(text), text);
+}
+
 TEST(Inflate, StoredBlock) {
   // Hand-built stored block: BFINAL=1, BTYPE=00, LEN=5, NLEN=~5, "hello".
   std::string raw;

@@ -186,8 +186,9 @@ std::vector<ByteRun> byte_diff_runs(const std::string& old_body,
   return runs;
 }
 
-/// Builds a valid patch frame carrying `runs` of `fresh` (checksum over the
-/// whole intended body, as the client pipeline computes it).
+/// Builds a valid patch frame carrying `runs` of `fresh` (checksum: the
+/// root of the whole intended body, which the client pipeline keeps
+/// incrementally).
 std::string make_patch_frame(std::uint64_t id, std::uint32_t epoch,
                              const std::string& fresh,
                              const std::vector<ByteRun>& runs) {
@@ -196,7 +197,8 @@ std::string make_patch_frame(std::uint64_t id, std::uint32_t epoch,
   header.epoch = epoch;
   header.run_count = static_cast<std::uint32_t>(runs.size());
   header.body_len = static_cast<std::uint32_t>(fresh.size());
-  header.checksum = diffwire::fnv1a(fresh);
+  header.flags = runs.empty() ? diffwire::kFlagReplay : std::uint8_t{0};
+  header.checksum = diffwire::body_root(fresh);
   std::string frame;
   diffwire::append_patch_header(frame, header);
   for (const ByteRun& run : runs) {
@@ -477,6 +479,7 @@ TEST(DiffDeserServer, OversizedPatchBodyAnswers413) {
   diffwire::PatchHeader header;
   header.template_id = 42;
   header.epoch = 1;
+  header.flags = diffwire::kFlagReplay;  // a header-only frame
   header.run_count = 0;
   header.body_len = 100000;
   std::string frame;

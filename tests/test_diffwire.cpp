@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -112,7 +113,7 @@ TEST(DiffWireFormat, PatchFrameRoundTrip) {
   header.epoch = 7;
   header.run_count = 2;
   header.body_len = 100;
-  header.checksum = fnv1a("the reconstructed body");
+  header.checksum = body_root("the reconstructed body");
 
   std::string frame;
   append_patch_header(frame, header);
@@ -141,6 +142,80 @@ TEST(DiffWireFormat, PatchFrameRoundTrip) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(decode_patch(bad_magic).ok());
   EXPECT_FALSE(decode_patch("").ok());
+
+  // Version 1 frames, unknown flags, set reserved bytes and a replay flag
+  // that disagrees with the run count are refused too.
+  std::string v1 = frame;
+  v1[4] = 1;
+  EXPECT_FALSE(decode_patch(v1).ok());
+  std::string unknown_flag = frame;
+  unknown_flag[5] = 0x02;
+  EXPECT_FALSE(decode_patch(unknown_flag).ok());
+  std::string reserved = frame;
+  reserved[7] = 1;
+  EXPECT_FALSE(decode_patch(reserved).ok());
+  std::string replay_with_runs = frame;
+  replay_with_runs[5] = static_cast<char>(kFlagReplay);
+  EXPECT_FALSE(decode_patch(replay_with_runs).ok());
+  PatchHeader empty = header;
+  empty.run_count = 0;
+  std::string runless;
+  append_patch_header(runless, empty);  // no runs, replay flag clear
+  EXPECT_FALSE(decode_patch(runless).ok());
+  empty.flags = kFlagReplay;
+  runless.clear();
+  append_patch_header(runless, empty);
+  EXPECT_TRUE(decode_patch(runless).ok());
+}
+
+/// `n` printable pseudo-random bytes.
+std::string random_body(std::size_t n, std::uint64_t seed) {
+  bsoap::Rng rng(seed);
+  std::string body(n, ' ');
+  for (char& c : body) c = static_cast<char>('!' + rng.next_u64() % 90);
+  return body;
+}
+
+TEST(DiffWireFormat, BlockDigestsKeepTheRootIncrementally) {
+  // A body that ends in a partial block.
+  std::string body = random_body(5 * kBlockSize + 77, 3);
+  BlockDigests digests;
+  digests.assign(body);
+  EXPECT_EQ(digests.block_count(), 6u);
+  EXPECT_EQ(digests.body_len(), body.size());
+  EXPECT_EQ(digests.root(), body_root(body));
+
+  // Rewrite bytes in blocks 1 and 5 and re-digest only those two blocks:
+  // the incremental root equals the from-scratch one.
+  body[kBlockSize + 3] ^= 1;
+  body[body.size() - 1] ^= 1;
+  for (const std::size_t b : {std::size_t{1}, std::size_t{5}}) {
+    const std::size_t at = b * kBlockSize;
+    digests.set(b, block_digest(static_cast<std::uint32_t>(b),
+                                body.data() + at,
+                                std::min(kBlockSize, body.size() - at)));
+  }
+  EXPECT_EQ(digests.root(), body_root(body));
+
+  // Digests are keyed by position: swapping two whole blocks, or the same
+  // bytes as a shorter block, digest differently.
+  std::string swapped = body;
+  std::swap_ranges(swapped.begin(), swapped.begin() + kBlockSize,
+                   swapped.begin() + 2 * kBlockSize);
+  EXPECT_NE(body_root(swapped), body_root(body));
+  EXPECT_NE(block_digest(0, body.data(), kBlockSize),
+            block_digest(1, body.data(), kBlockSize));
+  EXPECT_NE(block_digest(0, body.data(), kBlockSize),
+            block_digest(0, body.data(), kBlockSize - 1));
+  // Every single-bit change of a block changes its digest.
+  std::string block = body.substr(0, kBlockSize);
+  const std::uint64_t base = block_digest(0, block.data(), block.size());
+  for (std::size_t bit = 0; bit < block.size() * 8; ++bit) {
+    block[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    EXPECT_NE(block_digest(0, block.data(), block.size()), base) << bit;
+    block[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+  }
+  EXPECT_EQ(body_root(""), 0u);
 }
 
 // --- replica store ---------------------------------------------------------
@@ -154,7 +229,7 @@ std::string make_patch(std::uint64_t id, std::uint32_t epoch,
   header.epoch = epoch;
   header.run_count = 1;
   header.body_len = static_cast<std::uint32_t>(updated.size());
-  header.checksum = fnv1a(updated);
+  header.checksum = body_root(updated);
   std::string frame;
   append_patch_header(frame, header);
   append_run_header(frame, run_offset, run_length);
@@ -167,8 +242,11 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
   EXPECT_FALSE(store.pin(42, "hello world"));  // first pin, not a re-pin
   EXPECT_TRUE(store.pin(42, "hello world"));   // re-pin reported
 
+  // Decoded runs point into the frame bytes, so each frame is held in a
+  // named local for as long as its decoded form is used.
   const std::string v1 = "hello earth";
-  Result<PatchFrame> frame = decode_patch(make_patch(42, 1, v1, 6, 5));
+  const std::string frame_bytes = make_patch(42, 1, v1, 6, 5);
+  Result<PatchFrame> frame = decode_patch(frame_bytes);
   ASSERT_TRUE(frame.ok());
   std::string reconstructed;
   ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
@@ -176,7 +254,8 @@ TEST(ReplicaStore, AppliesRunsAndAdvancesEpoch) {
 
   // Epoch chains: the next frame must carry 2.
   const std::string v2 = "hellooearth";
-  Result<PatchFrame> next = decode_patch(make_patch(42, 2, v2, 0, 6));
+  const std::string next_bytes = make_patch(42, 2, v2, 0, 6);
+  Result<PatchFrame> next = decode_patch(next_bytes);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(store.apply(next.value(), &reconstructed).ok());
   EXPECT_EQ(reconstructed, v2);
@@ -193,7 +272,8 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   // Unknown ID.
   {
     ReplicaStore store;
-    Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "xx", 0, 1));
+    const std::string bytes = make_patch(1, 1, "xx", 0, 1);
+    Result<PatchFrame> frame = decode_patch(bytes);
     std::string out;
     const Status applied = store.apply(frame.value(), &out);
     EXPECT_FALSE(applied.ok());
@@ -204,10 +284,12 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   {
     ReplicaStore store;
     store.pin(1, "hello");
-    Result<PatchFrame> gap = decode_patch(make_patch(1, 2, "hellp", 4, 1));
+    const std::string gap_bytes = make_patch(1, 2, "hellp", 4, 1);
+    Result<PatchFrame> gap = decode_patch(gap_bytes);
     std::string out;
     EXPECT_FALSE(store.apply(gap.value(), &out).ok());
-    Result<PatchFrame> ok_frame = decode_patch(make_patch(1, 1, "hellp", 4, 1));
+    const std::string ok_bytes = make_patch(1, 1, "hellp", 4, 1);
+    Result<PatchFrame> ok_frame = decode_patch(ok_bytes);
     const Status after = store.apply(ok_frame.value(), &out);
     EXPECT_FALSE(after.ok());
     EXPECT_EQ(after.error().code, ErrorCode::kNotFound);
@@ -218,7 +300,8 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
   {
     ReplicaStore store;
     store.pin(1, "hello");
-    Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "hello!", 0, 1));
+    const std::string bytes = make_patch(1, 1, "hello!", 0, 1);
+    Result<PatchFrame> frame = decode_patch(bytes);
     std::string out;
     EXPECT_FALSE(store.apply(frame.value(), &out).ok());
   }
@@ -231,7 +314,7 @@ TEST(ReplicaStore, EveryValidationFailureNacksAndErases) {
     header.epoch = 1;
     header.run_count = 1;
     header.body_len = 5;
-    header.checksum = fnv1a("hello");
+    header.checksum = body_root("hello");
     std::string frame;
     append_patch_header(frame, header);
     append_run_header(frame, 4, 2);  // [4, 6) exceeds the 5-byte replica
@@ -265,9 +348,149 @@ TEST(ReplicaStore, LruEvictionUnderCountBudget) {
   EXPECT_EQ(store.stats().evictions, 1u);
   EXPECT_EQ(store.stats().pinned_replicas, 2u);
   std::string out;
-  Result<PatchFrame> frame = decode_patch(make_patch(1, 1, "onx", 2, 1));
+  const std::string bytes = make_patch(1, 1, "onx", 2, 1);
+  Result<PatchFrame> frame = decode_patch(bytes);
   EXPECT_EQ(store.apply(frame.value(), &out).error().code,
             ErrorCode::kNotFound);
+}
+
+/// A frame carrying `runs` (offset, length) of `fresh`, with fresh's root.
+std::string frame_with_runs(
+    std::uint64_t id, std::uint32_t epoch, const std::string& fresh,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& runs) {
+  PatchHeader header;
+  header.template_id = id;
+  header.epoch = epoch;
+  header.flags = runs.empty() ? kFlagReplay : std::uint8_t{0};
+  header.run_count = static_cast<std::uint32_t>(runs.size());
+  header.body_len = static_cast<std::uint32_t>(fresh.size());
+  header.checksum = body_root(fresh);
+  std::string frame;
+  append_patch_header(frame, header);
+  for (const auto& [offset, length] : runs) {
+    append_run_header(frame, offset, length);
+    frame.append(fresh, offset, length);
+  }
+  return frame;
+}
+
+TEST(ReplicaStore, PatchesRehashOnlyTouchedBlocksAndReplaysNone) {
+  ReplicaStore store;
+  std::string body = random_body(16 * kBlockSize, 5);
+  store.pin(9, body);
+  std::string out;
+
+  // A replay re-hashes zero blocks.
+  const std::string replay_bytes = frame_with_runs(9, 1, body, {});
+  Result<PatchFrame> replay = decode_patch(replay_bytes);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_TRUE(store.apply(replay.value(), &out).ok());
+  EXPECT_EQ(store.stats().blocks_hashed, 0u);
+  EXPECT_EQ(store.stats().replays, 1u);
+
+  // One run inside block 3, one straddling blocks 7 and 8, and a second run
+  // in block 3: three distinct blocks re-hashed.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> runs = {
+      {3 * kBlockSize + 10, 20},
+      {3 * kBlockSize + 100, 5},
+      {8 * kBlockSize - 4, 9}};
+  for (const auto& [offset, length] : runs) {
+    for (std::uint32_t i = 0; i < length; ++i) body[offset + i] ^= 0x20;
+  }
+  const std::string patch_bytes = frame_with_runs(9, 2, body, runs);
+  Result<PatchFrame> patch = decode_patch(patch_bytes);
+  ASSERT_TRUE(patch.ok());
+  ASSERT_TRUE(store.apply(patch.value(), &out).ok());
+  EXPECT_EQ(out, body);
+  EXPECT_EQ(store.stats().blocks_hashed, 3u);
+}
+
+TEST(ReplicaStore, EveryCorruptionNacksAndErases) {
+  // A 12-block replica and a valid frame with three runs in blocks 1, 5
+  // and 9. Every single-bit corruption of the frame's header, run headers
+  // or run bytes — and every move of a run into an untouched block — must
+  // be refused: decode_patch rejects it (the server answers a malformed
+  // frame with a NACK before touching any replica) or apply NACKs it and
+  // erases the replica. No corruption may reconstruct a body.
+  const std::uint64_t kId = 0x5eed;
+  const std::string pinned = random_body(12 * kBlockSize, 11);
+  std::string fresh = pinned;
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> runs = {
+      {1 * kBlockSize + 40, 24},
+      {5 * kBlockSize + 300, 24},
+      {9 * kBlockSize + 7, 24}};
+  for (const auto& [offset, length] : runs) {
+    for (std::uint32_t i = 0; i < length; ++i) fresh[offset + i] ^= 0x11;
+  }
+  const std::string valid = frame_with_runs(kId, 1, fresh, runs);
+
+  // Returns true when the frame was refused; checks the replica was erased
+  // whenever apply (rather than decode) refused it against the pinned ID.
+  const auto refused = [&](const std::string& frame_bytes) {
+    ReplicaStore store;
+    store.pin(kId, pinned);
+    Result<PatchFrame> frame = decode_patch(frame_bytes);
+    if (!frame.ok()) return true;
+    std::string out;
+    const Status applied = store.apply(frame.value(), &out);
+    if (applied.ok()) return false;
+    if (frame.value().header.template_id == kId) {
+      EXPECT_EQ(store.stats().pinned_replicas, 0u);
+    }
+    EXPECT_EQ(store.stats().nacks, 1u);
+    return true;
+  };
+  ASSERT_FALSE(refused(valid));
+
+  // Run-header and payload positions inside the frame.
+  std::vector<std::size_t> run_header_at;
+  std::size_t pos = kFrameHeaderSize;
+  for (const auto& run : runs) {
+    run_header_at.push_back(pos);
+    pos += kRunHeaderSize + run.second;
+  }
+  const auto flip = [&](std::size_t byte, int bit) {
+    std::string corrupt = valid;
+    corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+    return corrupt;
+  };
+  // Every header bit: magic, version, flags, reserved, template ID, epoch,
+  // run count, body length and the root.
+  for (std::size_t byte = 0; byte < kFrameHeaderSize; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      EXPECT_TRUE(refused(flip(byte, bit))) << "header byte " << byte;
+    }
+  }
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    // Every bit of the run's offset and length fields.
+    for (std::size_t byte = 0; byte < kRunHeaderSize; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        EXPECT_TRUE(refused(flip(run_header_at[r] + byte, bit)))
+            << "run " << r << " header byte " << byte << " bit " << bit;
+      }
+    }
+    // Every bit of the run's bytes.
+    for (std::size_t byte = 0; byte < runs[r].second; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        EXPECT_TRUE(refused(flip(run_header_at[r] + kRunHeaderSize + byte,
+                                 bit)))
+            << "run " << r << " byte " << byte << " bit " << bit;
+      }
+    }
+    // The run moved, intact, into each block no run touches.
+    for (std::uint32_t block = 0; block < 12; ++block) {
+      if (block == 1 || block == 5 || block == 9) continue;
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> moved = runs;
+      moved[r].first = block * kBlockSize + 40;
+      std::string corrupt = valid;
+      const std::uint32_t at = moved[r].first;
+      for (int i = 0; i < 4; ++i) {
+        corrupt[run_header_at[r] + static_cast<std::size_t>(i)] =
+            static_cast<char>((at >> (8 * i)) & 0xff);
+      }
+      EXPECT_TRUE(refused(corrupt)) << "run " << r << " moved to " << block;
+    }
+  }
 }
 
 // --- pipeline patch sends reconstruct byte-for-byte ------------------------
@@ -343,7 +566,8 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   EXPECT_TRUE(replay_report.patch_send);
   EXPECT_TRUE(replay_report.patch_replay);
   EXPECT_EQ(replay_report.patch_runs, 0u);
-  Result<PatchFrame> replay = decode_patch(parse_bytewise(replay_wire).body);
+  const http::HttpRequest replay_request = parse_bytewise(replay_wire);
+  Result<PatchFrame> replay = decode_patch(replay_request.body);
   ASSERT_TRUE(replay.ok());
   EXPECT_TRUE(replay.value().header.replay());
   EXPECT_EQ(replay.value().header.epoch, 2u);
@@ -356,6 +580,177 @@ TEST(DiffWirePipeline, PatchSendsReconstructByteIdentical) {
   EXPECT_EQ(stats.patch_sends, 2u);
   EXPECT_EQ(stats.patch_replays, 1u);
   EXPECT_GT(stats.bytes_saved, 0u);
+}
+
+/// A transport whose every write fails (a dead connection).
+class FailingTransport final : public net::Transport {
+ public:
+  using net::Transport::send;
+  Status send(const char*, std::size_t) override {
+    return Error{ErrorCode::kIoError, "injected write failure"};
+  }
+  Status send_slices(std::span<const net::ConstSlice>) override {
+    return Error{ErrorCode::kIoError, "injected write failure"};
+  }
+  Result<std::size_t> recv(char*, std::size_t) override {
+    return Error{ErrorCode::kIoError, "injected read failure"};
+  }
+  void shutdown_send() override {}
+};
+
+/// The template's current bytes, flattened.
+std::string template_bytes(core::SendPipeline& pipeline,
+                           std::uint64_t signature) {
+  const core::MessageTemplate* tmpl = pipeline.store().find(signature);
+  EXPECT_NE(tmpl, nullptr);
+  std::string out;
+  for (std::size_t i = 0; i < tmpl->buffer().chunk_count(); ++i) {
+    out.append(tmpl->buffer().chunk_view(i));
+  }
+  return out;
+}
+
+TEST(DiffWirePipeline, IncrementalRootsMatchFromScratchDigests) {
+  // A seeded run of sends against an in-process replica: 0–10% dirty
+  // updates, replays, value widenings that shift the template (a full
+  // re-offer), and failed writes that roll back. After every send the
+  // client's incremental root must equal a from-scratch digest of its
+  // template, and the receiver's replica must equal the template byte for
+  // byte (its root matched that same digest, or apply would have NACKed).
+  core::SendPipeline::Options options;
+  options.tmpl.stuffing.mode = core::StuffingPolicy::Mode::kFixed;
+  options.tmpl.stuffing.fixed_width = 18;
+  options.tmpl.chunk.chunk_size = 4096;  // blocks straddle chunk boundaries
+  core::SendPipeline pipeline(options);
+  core::UpdateJournal journal;
+  pipeline.set_journal(&journal);
+  ClientSession session(/*token=*/3);
+  pipeline.set_diffwire(&session);
+  ReplicaStore store;
+
+  constexpr std::size_t kValues = 1500;
+  std::vector<double> values =
+      soap::doubles_with_serialized_length(kValues, 17, 7);
+  bsoap::Rng rng(2024);
+  const std::uint64_t signature =
+      soap::make_double_array_call(values).structure_signature();
+  const std::uint64_t wire_id = session.wire_id(signature);
+
+  int patches = 0;
+  int replays = 0;
+  int offers = 0;
+  int rollbacks = 0;
+  for (int step = 0; step < 160; ++step) {
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 20) {
+      // Replay: no value changes.
+    } else if (roll < 25) {
+      // Widen one value past its field: the template shifts.
+      values[rng.next_below(kValues)] =
+          soap::double_with_serialized_length(rng, 22);
+    } else {
+      const std::uint64_t dirty = rng.next_below(kValues / 10 + 1);
+      for (std::uint64_t k = 0; k < dirty; ++k) {
+        values[rng.next_below(kValues)] =
+            soap::double_with_serialized_length(rng, 17);
+      }
+    }
+    const RpcCall call = soap::make_double_array_call(values);
+
+    if (step % 13 == 5) {
+      // The write fails; the journal rolls the update back.
+      FailingTransport dead;
+      core::SendDestination dest;
+      dest.transport = &dead;
+      ASSERT_FALSE(pipeline.send(call, dest).ok());
+      // A shifting update cannot be unwound and drops the template instead.
+      if (pipeline.recover_failed_send() == core::Recovery::kRolledBack) {
+        ++rollbacks;
+      }
+    }
+
+    auto [wire, report] = capture_send(pipeline, call);
+    const std::string expected = template_bytes(pipeline, signature);
+    const http::HttpRequest request = parse_bytewise(wire);
+    if (report.patch_send) {
+      Result<PatchFrame> frame = decode_patch(request.body);
+      ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+      EXPECT_EQ(frame.value().header.checksum, body_root(expected))
+          << "step " << step;
+      const std::uint64_t hashed_before = store.stats().blocks_hashed;
+      std::string reconstructed;
+      const Status applied = store.apply(frame.value(), &reconstructed);
+      ASSERT_TRUE(applied.ok()) << "step " << step << ": "
+                                << applied.error().to_string();
+      EXPECT_EQ(reconstructed, expected) << "step " << step;
+      if (report.patch_replay) {
+        ++replays;
+        EXPECT_EQ(report.patch_blocks_hashed, 0u);
+        EXPECT_EQ(store.stats().blocks_hashed, hashed_before);
+      } else {
+        ++patches;
+        EXPECT_GT(report.patch_blocks_hashed, 0u);
+        EXPECT_EQ(store.stats().blocks_hashed - hashed_before,
+                  report.patch_blocks_hashed);
+      }
+    } else {
+      // A full send carries the offer: the receiver (re)pins and acks.
+      ++offers;
+      EXPECT_EQ(request.body, expected);
+      store.pin(wire_id, request.body);
+      session.note_ack(wire_id);
+    }
+  }
+  // The run covered every kind of send.
+  EXPECT_GT(patches, 50);
+  EXPECT_GT(replays, 10);
+  EXPECT_GT(offers, 5);
+  EXPECT_GT(rollbacks, 3);
+  EXPECT_EQ(store.stats().nacks, 0u);
+}
+
+TEST(DiffWirePipeline, DigestsNeverServeAnotherTemplateOfTheSameShape) {
+  // A stored template and a caller-owned (tracked) template of the same
+  // call shape share one wire ID. The pin's digests describe whichever
+  // template was last offered, so a send from the other must re-offer —
+  // a replay rooted in the wrong template's digests would pass the
+  // receiver's check and serve the wrong body.
+  core::SendPipeline::Options options;
+  options.tmpl = stuffed_config();
+  core::SendPipeline pipeline(options);
+  ClientSession session(/*token=*/5);
+  pipeline.set_diffwire(&session);
+  server::CaptureTransport sink;
+  core::SendDestination dest;
+  dest.transport = &sink;
+
+  const RpcCall call_a = soap::make_double_array_call(
+      soap::doubles_with_serialized_length(40, 17, 1));
+  const RpcCall call_b = soap::make_double_array_call(
+      soap::doubles_with_serialized_length(40, 17, 2));
+  const std::uint64_t wire_id = session.wire_id(call_a.structure_signature());
+  ASSERT_TRUE(pipeline.send(call_a, dest).ok());  // offers A's body
+  session.note_ack(wire_id);
+
+  // B's template is clean (a content match against itself), yet its bytes
+  // are not what the receiver pinned: it must go out in full.
+  std::unique_ptr<core::MessageTemplate> tmpl_b =
+      core::build_template(call_b, options.tmpl);
+  Result<core::SendReport> b = pipeline.send_tracked(*tmpl_b, call_b, dest);
+  ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(b.value().patch_send);
+  session.note_ack(wire_id);
+
+  // And A, now the other template, re-offers too.
+  Result<core::SendReport> a = pipeline.send(call_a, dest);
+  ASSERT_TRUE(a.ok());
+  EXPECT_FALSE(a.value().patch_send);
+  session.note_ack(wire_id);
+  // Once its own digests are pinned again, A's unchanged resend replays.
+  a = pipeline.send(call_a, dest);
+  ASSERT_TRUE(a.ok());
+  EXPECT_TRUE(a.value().patch_replay);
+  EXPECT_EQ(session.stats().offers_sent, 3u);
 }
 
 TEST(DiffWirePipeline, StructuralUpdateFallsBackToFullSendAndReoffers) {

@@ -480,9 +480,14 @@ TEST(Reactor, DispatchStressAcrossEightWorkers) {
   for (std::thread& thread : clients) thread.join();
 
   EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
+  // A worker counts its response after writing it, so the clients can hold
+  // every response before the last one is counted: wait for both counters.
   ASSERT_TRUE(wait_for([&] {
-    return server.value()->stats().requests ==
-           static_cast<std::uint64_t>(kThreads * kPerThread);
+    const ServerStats settled = server.value()->stats();
+    return settled.requests ==
+               static_cast<std::uint64_t>(kThreads * kPerThread) &&
+           settled.responses_total() ==
+               static_cast<std::uint64_t>(kThreads * kPerThread);
   }));
   const ServerStats stats = server.value()->stats();
   EXPECT_EQ(stats.faults, 0u);

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -50,6 +51,14 @@ bool wait_for(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
     std::this_thread::sleep_for(2ms);
   }
   return pred();
+}
+
+/// zlib-codes `input` through `stream` (its preset dictionary, if any).
+std::string zlib_coded(compress::DeflateStream& stream,
+                       std::string_view input) {
+  std::string out;
+  compress::zlib_compress(stream, input, &out);
+  return out;
 }
 
 /// Stuffed numeric fields keep value rewrites in place — the structural
@@ -216,7 +225,7 @@ TEST(PresetDictionary, LongDictionariesTailTruncateConsistently) {
   EXPECT_EQ(stream.dictionary_id(),
             compress::adler32(std::string_view(dict).substr(
                 dict.size() - (32 << 10))));
-  const std::string coded = compress::zlib_compress(stream, body);
+  const std::string coded = zlib_coded(stream, body);
   EXPECT_LT(coded.size(), body.size() / 10);  // tail matches reach the dict
 
   Result<std::string> full_dict =
@@ -227,6 +236,55 @@ TEST(PresetDictionary, LongDictionariesTailTruncateConsistently) {
       coded, 1u << 20, std::string_view(dict).substr(dict.size() - (32 << 10)));
   ASSERT_TRUE(tail_only.ok()) << tail_only.error().to_string();
   EXPECT_EQ(tail_only.value(), body);
+}
+
+TEST(PresetDictionary, PrimedOnceStreamMatchesFreshStreams) {
+  // One stream primed once and reused across many calls (and across a
+  // dictionary switch and back) must code every input exactly as a fresh
+  // stream preset per call would: compress() restores the dictionary's
+  // chains after each call. The prepared-dictionary decode reads the same
+  // bytes in place and checks the DICTID computed at construction.
+  Rng rng(17);
+  const auto make = [&](std::size_t n) {
+    std::string text;
+    while (text.size() < n) {
+      text += "<item>0." + std::to_string(rng.next_below(1000000000)) +
+              "</item>";
+    }
+    return text;
+  };
+  const std::string dict_a = make(40 << 10);
+  const std::string dict_b = make(20 << 10);
+  compress::DeflateStream reused;
+  const compress::PresetDictionary prepared_a(dict_a);
+  EXPECT_EQ(prepared_a.bytes().size(), std::size_t{32 << 10});
+  for (int i = 0; i < 12; ++i) {
+    const std::string& dict = i == 6 ? dict_b : dict_a;
+    const std::string input =
+        i % 4 == 0 ? dict.substr(dict.size() / 2) + make(300)
+                   : make(static_cast<std::size_t>(rng.next_below(5000)));
+    reused.preset(dict);
+    compress::DeflateStream fresh;
+    fresh.preset(dict);
+    const std::string coded = zlib_coded(reused, input);
+    EXPECT_EQ(coded, zlib_coded(fresh, input)) << "call " << i;
+    EXPECT_EQ(reused.dictionary_id(), fresh.dictionary_id());
+    if (&dict == &dict_a) {
+      std::string decoded = "stale bytes the decode must replace";
+      const Status status =
+          compress::zlib_decompress(coded, 1u << 20, prepared_a, &decoded);
+      ASSERT_TRUE(status.ok()) << status.error().to_string();
+      EXPECT_EQ(decoded, input);
+    }
+  }
+  // A stream coded against another dictionary is refused by DICTID.
+  reused.preset(dict_b);
+  std::string out;
+  EXPECT_EQ(compress::zlib_decompress(zlib_coded(reused, "x"), 1u << 20,
+                                      prepared_a, &out)
+                .error()
+                .code,
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(PresetDictionary, PresetCoderRoundTrip) {
@@ -310,12 +368,12 @@ TEST(WireCodingPipeline, PresetPatchFramesCompressAndDecode) {
   EXPECT_EQ(header_id, wire_id);
 
   // Server-side decode against the pin generation's dictionary, then apply.
-  Result<std::string> frame_bytes =
-      store.decode_preset(wire_id, patch.body, 1u << 20);
-  ASSERT_TRUE(frame_bytes.ok()) << frame_bytes.error().to_string();
-  EXPECT_LT(patch.body.size(), frame_bytes.value().size() / 2);
-  Result<diffwire::PatchFrame> frame =
-      diffwire::decode_patch(frame_bytes.value());
+  std::string frame_bytes;
+  const Status decoded =
+      store.decode_preset(wire_id, patch.body, 1u << 20, &frame_bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_LT(patch.body.size(), frame_bytes.size() / 2);
+  Result<diffwire::PatchFrame> frame = diffwire::decode_patch(frame_bytes);
   ASSERT_TRUE(frame.ok()) << frame.error().to_string();
   std::string reconstructed;
   ASSERT_TRUE(store.apply(frame.value(), &reconstructed).ok());
@@ -365,15 +423,16 @@ TEST(WireCodingPipeline, PresetReoffersCompressAgainstPreviousGeneration) {
   EXPECT_EQ(offer2.find("Content-Encoding")->value,
             http::coding_name(ContentCoding::kDeflatePreset));
 
-  Result<std::string> decoded =
-      store.decode_preset(wire_id, offer2.body, 1u << 20);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  std::string decoded;
+  const Status status =
+      store.decode_preset(wire_id, offer2.body, 1u << 20, &decoded);
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
   auto [ref_wire2, ref_report2] = capture_send(reference, call2);
-  EXPECT_EQ(decoded.value(), parse_bytewise(ref_wire2).body);
-  EXPECT_LT(offer2.body.size(), decoded.value().size() / 4);  // >= 4x shrink
+  EXPECT_EQ(decoded, parse_bytewise(ref_wire2).body);
+  EXPECT_LT(offer2.body.size(), decoded.size() / 4);  // >= 4x shrink
 
   // The server re-pins the decoded body, rolling the dictionary generation.
-  EXPECT_TRUE(store.pin(wire_id, decoded.value()));
+  EXPECT_TRUE(store.pin(wire_id, decoded));
 }
 
 TEST(WireCodingPipeline, PresetDegradesToIdentityWithoutDiffwire) {
